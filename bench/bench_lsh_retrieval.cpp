@@ -192,16 +192,6 @@ int main() {
     options.bands = static_cast<int>(
         EnvScale("GEOSIR_LSH_BANDS", options.bands));
     options.rows = static_cast<int>(EnvScale("GEOSIR_LSH_ROWS", options.rows));
-    options.query_probes = static_cast<int>(
-        EnvScale("GEOSIR_LSH_PROBES", options.query_probes));
-    options.project =
-        EnvScale("GEOSIR_LSH_PROJECT", options.project ? 1 : 0) != 0;
-    switch (EnvScale("GEOSIR_LSH_KIND",
-                     static_cast<long long>(options.kind))) {
-      case 1: options.kind = geosir::lsh::SketchKind::kTurningFunction; break;
-      case 2: options.kind = geosir::lsh::SketchKind::kEdgeSample; break;
-      default: options.kind = geosir::lsh::SketchKind::kVertexSample; break;
-    }
     options.quantum =
         static_cast<double>(EnvScale(
             "GEOSIR_LSH_QUANTUM_MILLI",

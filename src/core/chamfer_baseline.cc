@@ -5,6 +5,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "core/match_types.h"
 #include "core/normalize.h"
 
 namespace geosir::core {
@@ -144,12 +145,7 @@ std::vector<ChamferBaseline::QueryResult> ChamferBaseline::Query(
   std::vector<QueryResult> results;
   results.reserve(best.size());
   for (const auto& [id, score] : best) results.push_back({id, score});
-  std::sort(results.begin(), results.end(),
-            [](const QueryResult& a, const QueryResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.shape_id < b.shape_id;
-            });
-  if (results.size() > k) results.resize(k);
+  RankResults(&results, k);
   return results;
 }
 

@@ -8,7 +8,6 @@
 #include "core/similarity.h"
 #include "obs/metrics.h"
 #include "util/query_control.h"
-#include "util/thread_pool.h"
 
 namespace geosir::core {
 
@@ -298,31 +297,29 @@ util::Status DynamicShapeBase::Compact() {
   return util::Status::OK();
 }
 
-double DynamicShapeBase::EvaluateCopyShape(const geom::Polyline& copy_shape,
-                                           const NormalizedCopy& qnorm) const {
-  switch (options_.match.measure) {
-    case MatchMeasure::kContinuousSymmetric:
-      return AvgMinDistanceSymmetric(copy_shape, qnorm.shape,
-                                     options_.match.similarity);
-    case MatchMeasure::kContinuousDirected:
-      return AvgMinDistance(copy_shape, qnorm.shape,
-                            options_.match.similarity);
-    case MatchMeasure::kDiscreteSymmetric:
-      return std::max(DiscreteAvgMinDistance(copy_shape, qnorm.shape),
-                      DiscreteAvgMinDistance(qnorm.shape, copy_shape));
-    case MatchMeasure::kDiscreteDirected:
-      return DiscreteAvgMinDistance(copy_shape, qnorm.shape);
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-double DynamicShapeBase::EvaluateAgainstQuery(
-    const Record& record, const NormalizedCopy& qnorm) const {
-  // Delta shapes are matched by direct evaluation over their cached
-  // normalized copies (the delta is small by construction).
+std::optional<double> DynamicShapeBase::BestDistance(
+    uint64_t id, const QueryTarget& target) const {
+  const Record& record = records_[id];
+  const MatchMeasure measure = options_.match.measure;
   double best = std::numeric_limits<double>::infinity();
-  for (const NormalizedCopy& copy : record.copies) {
-    best = std::min(best, EvaluateCopyShape(copy.shape, qnorm));
+  if (!record.copies.empty()) {
+    // Delta shapes are scored directly over their cached normalized
+    // copies (the delta is small by construction).
+    for (const NormalizedCopy& copy : record.copies) {
+      best = std::min(best, target.Score(copy.shape, measure));
+    }
+    return best;
+  }
+  if (!record.in_main || main_ == nullptr) return std::nullopt;
+  // Compaction cleared the record's cached copies; score the main base's
+  // pooled copies instead of renormalizing. main_ids_ is ascending
+  // (Compact builds it in id order, RestoreCheckpoint validates it), so
+  // the reverse map is a binary search.
+  const auto it = std::lower_bound(main_ids_.begin(), main_ids_.end(), id);
+  if (it == main_ids_.end() || *it != id) return std::nullopt;
+  const ShapeId shape_id = static_cast<ShapeId>(it - main_ids_.begin());
+  for (uint32_t copy_idx : main_->CopiesOfShape(shape_id)) {
+    best = std::min(best, target.Score(main_->copy(copy_idx).shape, measure));
   }
   return best;
 }
@@ -346,157 +343,44 @@ util::Result<std::vector<std::pair<uint64_t, double>>>
 DynamicShapeBase::MatchIds(const std::vector<uint64_t>& ids,
                            const geom::Polyline& query, size_t k,
                            MatchStats* stats) const {
-  MatchStats local_stats;
-  MatchStats& st = stats != nullptr ? *stats : local_stats;
-  st = MatchStats{};
-
-  const util::QueryControl control{options_.match.deadline,
-                                   options_.match.cancel_token};
-  {
-    util::Status entry = control.Check();
-    if (!entry.ok()) {
-      st.termination = entry;
-      return entry;
-    }
-  }
-  const util::ScopedQueryControl scoped(&control);
-
-  GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
-  const WorkBudget& budget = options_.match.budget;
-  std::vector<std::pair<uint64_t, double>> results;
-  results.reserve(std::min(ids.size(), k + 8));
-  util::Status stop;
-  for (uint64_t id : ids) {
-    if (stop.ok()) stop = control.Check();
-    if (stop.ok() && budget.max_candidates > 0 &&
-        st.candidates_evaluated >= budget.max_candidates) {
-      stop = util::Status::ResourceExhausted("candidate budget exhausted");
-    }
-    if (!stop.ok()) {
-      ++st.candidates_skipped;
-      continue;
-    }
-    // Stale candidates (removed since the pre-filter emitted them) are
-    // skipped silently: the approximate tier is allowed to lag by a
-    // mutation, the exact tier filters it out here.
-    if (id >= records_.size() || records_[id].deleted) continue;
-    const Record& record = records_[id];
-    double distance;
-    if (!record.copies.empty()) {
-      distance = EvaluateAgainstQuery(record, qnorm);
-    } else if (record.in_main && main_ != nullptr) {
-      // Compaction cleared the record's cached copies; score the main
-      // base's pooled copies instead of renormalizing. main_ids_ is
-      // ascending (Compact builds it in id order, RestoreCheckpoint
-      // validates it), so the reverse map is a binary search.
-      const auto it =
-          std::lower_bound(main_ids_.begin(), main_ids_.end(), id);
-      if (it == main_ids_.end() || *it != id) continue;
-      const ShapeId shape_id =
-          static_cast<ShapeId>(it - main_ids_.begin());
-      distance = std::numeric_limits<double>::infinity();
-      for (uint32_t copy_idx : main_->CopiesOfShape(shape_id)) {
-        distance = std::min(
-            distance, EvaluateCopyShape(main_->copy(copy_idx).shape, qnorm));
-      }
-    } else {
-      continue;
-    }
-    ++st.candidates_evaluated;
-    results.emplace_back(id, distance);
-  }
-
-  std::sort(results.begin(), results.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  if (results.size() > k) results.resize(k);
-
-  if (!stop.ok()) {
-    st.termination = stop;
-    if (results.empty()) return stop;
-    st.partial = true;
-  }
-  return results;
+  return MatchWith(nullptr, ids, /*budgeted=*/true, query, k, stats);
 }
 
 util::Result<std::vector<std::pair<uint64_t, double>>>
 DynamicShapeBase::Match(const geom::Polyline& query, size_t k,
                         MatchStats* stats) {
-  return MatchWith(matcher_.get(), query, k, stats);
+  return MatchWith(matcher_.get(), delta_ids_, /*budgeted=*/false, query, k,
+                   stats);
 }
 
 util::Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
 DynamicShapeBase::MatchBatch(const std::vector<geom::Polyline>& queries,
                              size_t k, std::vector<MatchStats>* stats) {
-  const size_t n = queries.size();
-  std::vector<std::vector<std::pair<uint64_t, double>>> results(n);
-  if (stats != nullptr) stats->assign(n, MatchStats{});
-  if (n == 0) return results;
-
-  util::ThreadPool* pool =
-      options_.match.num_threads > 1
-          ? (options_.match.pool != nullptr ? options_.match.pool
-                                            : &util::ThreadPool::Shared())
-          : nullptr;
-  const size_t slots =
-      pool != nullptr ? pool->MaxSlots(options_.match.num_threads) : 1;
-
-  // One matcher per worker slot over the (immutable during the batch)
-  // main base; the delta is evaluated directly per query.
-  std::vector<std::unique_ptr<EnvelopeMatcher>> matchers(slots);
-  if (main_ != nullptr) {
-    for (auto& matcher : matchers) {
-      matcher = std::make_unique<EnvelopeMatcher>(main_.get());
-    }
-  }
-  std::vector<util::Status> errors(n);
-  std::vector<uint8_t> started(n, 0);
-  // Same per-query lifecycle contract as core::MatchBatch: stops leave
-  // partial results + stats[i].termination; real errors fail the batch.
-  const auto run_query = [&](size_t worker, size_t i) {
-    started[i] = 1;
-    MatchStats* query_stats = stats != nullptr ? &(*stats)[i] : nullptr;
-    auto result = MatchWith(matchers[worker].get(), queries[i], k, query_stats);
-    if (result.ok()) {
-      results[i] = *std::move(result);
-    } else if (!util::IsLifecycleStop(result.status().code())) {
-      errors[i] = result.status();
-    }
-  };
-  const util::CancellationToken* cancel = options_.match.cancel_token;
-  if (pool != nullptr) {
-    pool->ParallelFor(n, options_.match.num_threads, run_query, cancel);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) break;
-      run_query(0, i);
-    }
-  }
-  if (stats != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!started[i]) {
-        (*stats)[i].termination =
-            util::Status::Cancelled("batch cancelled before query started");
-      }
-    }
-  }
-  for (const util::Status& status : errors) {
-    GEOSIR_RETURN_IF_ERROR(status);
-  }
+  // Matchers run over the (immutable during the batch) main base.
+  std::vector<std::vector<std::pair<uint64_t, double>>> results(
+      queries.size());
+  GEOSIR_RETURN_IF_ERROR(RunMatchBatch(
+      main_.get(), queries.size(), options_.match, stats,
+      [&](EnvelopeMatcher* matcher, size_t i, MatchStats* query_stats) {
+        auto result = MatchWith(matcher, delta_ids_, /*budgeted=*/false,
+                                queries[i], k, query_stats);
+        if (result.ok()) results[i] = std::move(result).value();
+        return result.status();
+      }));
   return results;
 }
 
 util::Result<std::vector<std::pair<uint64_t, double>>>
 DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher,
+                            const std::vector<uint64_t>& ids, bool budgeted,
                             const geom::Polyline& query, size_t k,
                             MatchStats* stats) const {
+  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options_.match, k));
   MatchStats local_stats;
   MatchStats& st = stats != nullptr ? *stats : local_stats;
   st = MatchStats{};
 
-  // Lifecycle entry check + thread-local binding for the delta-evaluation
+  // Lifecycle entry check + thread-local binding for the direct-scoring
   // loop (the inner matcher rebinds the same control around its own body).
   const util::QueryControl control{options_.match.deadline,
                                    options_.match.cancel_token};
@@ -513,7 +397,7 @@ DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher,
   std::vector<std::pair<uint64_t, double>> results;
   util::Status stop;  // First lifecycle stop observed.
 
-  if (main_ != nullptr && main_->NumShapes() > 0) {
+  if (matcher != nullptr && main_->NumShapes() > 0) {
     // Ask for a little slack to survive tombstone filtering; retry with
     // more only in the rare case the top results were mostly deleted
     // (asking for k + all tombstones upfront would defeat the matcher's
@@ -553,36 +437,36 @@ DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher,
       slack = std::min(tombstones_, 2 * slack + 8);
     }
   }
-  for (uint64_t id : delta_ids_) {
-    // Each delta shape costs one direct similarity evaluation — the same
-    // unit the matcher's candidate checkpoint guards, so poll per shape.
-    if (stop.ok()) stop = control.Check();
-    if (!stop.ok()) {
-      ++st.candidates_skipped;
-      continue;
+  if (!ids.empty()) {
+    const QueryTarget target(qnorm.shape, options_.match.similarity);
+    const size_t max_candidates =
+        budgeted ? options_.match.budget.max_candidates : 0;
+    for (uint64_t id : ids) {
+      // Each id costs one direct similarity evaluation — the same unit
+      // the matcher's candidate checkpoint guards, so poll per id.
+      if (stop.ok()) stop = control.Check();
+      if (stop.ok() && max_candidates > 0 &&
+          st.candidates_evaluated >= max_candidates) {
+        stop = util::Status::ResourceExhausted("candidate budget exhausted");
+      }
+      if (!stop.ok()) {
+        ++st.candidates_skipped;
+        continue;
+      }
+      // Stale candidates (removed since a pre-filter emitted them) are
+      // skipped silently: the approximate tier is allowed to lag by a
+      // mutation, the exact tier filters it out here.
+      if (!IsLive(id)) continue;
+      const std::optional<double> distance = BestDistance(id, target);
+      if (!distance.has_value()) continue;
+      ++st.candidates_evaluated;
+      results.emplace_back(id, *distance);
     }
-    results.emplace_back(id, EvaluateAgainstQuery(records_[id], qnorm));
-    ++st.candidates_evaluated;
   }
-
-  std::sort(results.begin(), results.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  if (results.size() > k) results.resize(k);
-
-  // Same partial-result contract as the matcher: ranked best-so-far comes
-  // back OK with `partial` set; a stop before anything was ranked is the
-  // call's error.
-  if (!stop.ok()) {
-    st.termination = stop;
-    if (results.empty()) {
-      st.partial = false;  // Tombstones may have emptied a partial ranking.
-      return stop;
-    }
-    st.partial = true;
-  }
+  // Same partial-result contract as the matcher; the dynamic base always
+  // cuts to k. Tombstones may have emptied a partial main ranking.
+  GEOSIR_RETURN_IF_ERROR(
+      RankAndClose(&results, k, /*collect_threshold=*/-1.0, stop, &st));
   return results;
 }
 

@@ -2,6 +2,7 @@
 #define GEOSIR_CORE_DYNAMIC_SHAPE_BASE_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/dynamic_base_journal.h"
@@ -206,16 +207,20 @@ class DynamicShapeBase {
                        std::string label, std::vector<NormalizedCopy> copies);
   /// Shared tail of Remove and ReplayRemove (same no-journal rule).
   void ApplyRemove(uint64_t id);
-  double EvaluateAgainstQuery(const Record& record,
-                              const NormalizedCopy& qnorm) const;
-  /// One copy shape scored against the normalized query under
-  /// options().match.measure.
-  double EvaluateCopyShape(const geom::Polyline& copy_shape,
-                           const NormalizedCopy& qnorm) const;
-  /// The Match pipeline against an explicit matcher instance (MatchBatch
-  /// runs one per worker slot). Mutates only `matcher`'s scratch.
+  /// Best options().match.measure distance over the normalized copies of
+  /// live record `id`: its cached delta copies, or the main base's pooled
+  /// copies once compaction dropped them; nullopt when it has neither.
+  std::optional<double> BestDistance(uint64_t id,
+                                     const QueryTarget& target) const;
+  /// The pipeline Match, MatchBatch and MatchIds share: validation, the
+  /// lifecycle entry check, the envelope search over the main base when
+  /// `matcher` is non-null (MatchBatch runs one per worker slot), direct
+  /// scoring of the live `ids` against one query target — under the
+  /// candidate budget when `budgeted` — and RankAndClose. Mutates only
+  /// `matcher`'s scratch.
   util::Result<std::vector<std::pair<uint64_t, double>>> MatchWith(
-      EnvelopeMatcher* matcher, const geom::Polyline& query, size_t k,
+      EnvelopeMatcher* matcher, const std::vector<uint64_t>& ids,
+      bool budgeted, const geom::Polyline& query, size_t k,
       MatchStats* stats) const;
 
   Options options_;

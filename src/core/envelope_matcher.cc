@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -24,7 +25,10 @@ using geom::Polyline;
 double Log2(double v) { return std::log2(std::max(2.0, v)); }
 
 /// Process-wide matcher metric families, resolved once. Per-query cost is
-/// one relaxed add per counter at Match exit — never per vertex.
+/// one relaxed add per counter at Match exit — never per vertex. The
+/// prefilter_* families (DESIGN.md section 14.4) count MatchCandidates
+/// calls only; `prefilter_empty` is the recall proxy an operator watches:
+/// prefiltered queries that verified nothing trend with pre-filter misses.
 struct MatcherMetrics {
   obs::Counter* queries;
   obs::Counter* rounds;
@@ -42,6 +46,10 @@ struct MatcherMetrics {
   obs::Counter* term_budget;
   obs::Counter* term_error;
   obs::Histogram* latency;
+  obs::Counter* prefilter_queries;
+  obs::Counter* prefilter_candidates;
+  obs::Counter* prefilter_verified;
+  obs::Counter* prefilter_empty;
 
   static const MatcherMetrics& Get() {
     static const MatcherMetrics* metrics = [] {
@@ -85,6 +93,18 @@ struct MatcherMetrics {
       m->latency = r.GetHistogram("geosir_matcher_latency_seconds",
                                   "End-to-end Match latency",
                                   obs::LatencyBucketsSeconds());
+      m->prefilter_queries =
+          r.GetCounter("geosir_matcher_prefilter_queries_total",
+                       "MatchCandidates calls finished");
+      m->prefilter_candidates =
+          r.GetCounter("geosir_matcher_prefilter_candidates_total",
+                       "Candidates emitted by the sources");
+      m->prefilter_verified =
+          r.GetCounter("geosir_matcher_prefilter_verified_total",
+                       "Candidates exactly scored");
+      m->prefilter_empty = r.GetCounter(
+          "geosir_matcher_prefilter_empty_total",
+          "Prefiltered queries returning no results (recall proxy)");
       return m;
     }();
     return *metrics;
@@ -120,28 +140,109 @@ util::ThreadPool* ResolvePool(const MatchOptions& options) {
   return options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
 }
 
-/// The directed components options.measure is composed from (one or two).
-size_t ComponentsFor(MatchMeasure measure, uint32_t out[2]) {
-  switch (measure) {
-    case MatchMeasure::kContinuousSymmetric:
-      out[0] = 0;  // kContinuousToQuery
-      out[1] = 1;  // kContinuousFromQuery
-      return 2;
-    case MatchMeasure::kContinuousDirected:
-      out[0] = 0;
-      return 1;
-    case MatchMeasure::kDiscreteSymmetric:
-      out[0] = 2;  // kDiscreteToQuery
-      out[1] = 3;  // kDiscreteFromQuery
-      return 2;
-    case MatchMeasure::kDiscreteDirected:
-      out[0] = 2;
-      return 1;
-  }
-  return 0;
-}
-
 }  // namespace
+
+/// One Match or MatchCandidates call: its stats sink, its lifecycle
+/// control and its observability. Registry counters are flushed once at
+/// exit (relaxed adds, armed in production); the per-round timeline is
+/// recorded only when a trace sink is attached or the slow-query log is
+/// armed. `source` names the candidate source of a MatchCandidates call
+/// (null for Match), whose exit also flushes the prefilter families.
+struct EnvelopeMatcher::Call {
+  Call(const Polyline& query, const MatchOptions& options, MatchStats* stats,
+       const char* source)
+      : st(stats != nullptr ? *stats : local_stats),
+        control{options.deadline, options.cancel_token},
+        source(source) {
+    st = MatchStats{};
+    trace = options.query_trace;
+    if (trace == nullptr && slow_log.armed()) trace = &slow_trace;
+    if (trace != nullptr) {
+      trace->Start((source == nullptr
+                        ? std::string("match")
+                        : std::string("match_candidates src=") + source) +
+                   " n=" + std::to_string(query.size()) +
+                   " k=" + std::to_string(options.k));
+    }
+  }
+
+  void Finish(const char* reason) {
+    const MatcherMetrics& metrics = MatcherMetrics::Get();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    metrics.queries->Inc();
+    metrics.latency->Observe(seconds);
+    metrics.rounds->Inc(st.iterations);
+    metrics.vertices_reported->Inc(st.vertices_reported);
+    metrics.vertices_accepted->Inc(st.vertices_accepted);
+    metrics.candidates->Inc(st.candidates_evaluated);
+    metrics.candidates_skipped->Inc(st.candidates_skipped);
+    metrics.eval_cache_hits->Inc(st.eval_cache_hits);
+    if (st.partial) metrics.partials->Inc();
+    if (st.degraded) metrics.degraded->Inc();
+    metrics.TerminationCounter(reason)->Inc();
+    if (source != nullptr) {
+      metrics.prefilter_queries->Inc();
+      metrics.prefilter_candidates->Inc(candidates_emitted);
+      metrics.prefilter_verified->Inc(st.candidates_evaluated);
+      if (!any_result) metrics.prefilter_empty->Inc();
+    }
+    if (trace != nullptr) {
+      if (st.degraded) {
+        trace->AddEvent("degraded",
+                        std::to_string(st.skipped_subtrees) +
+                            " subtrees skipped (" +
+                            std::to_string(st.skipped_leaves) + " leaves)");
+      }
+      trace->Finish(reason, st.partial, st.degraded);
+      if (slow_log.armed()) slow_log.Offer(*trace);
+    }
+  }
+
+  /// Ranks the best-per-shape table through RankAndClose, then finishes
+  /// with `natural_reason` when `stop` is OK and the stop's label
+  /// otherwise.
+  util::Result<std::vector<MatchResult>> Close(
+      const std::unordered_map<ShapeId, MatchResult>& best_per_shape,
+      const MatchOptions& options, const util::Status& stop,
+      const char* natural_reason) {
+    std::vector<MatchResult> results;
+    results.reserve(best_per_shape.size());
+    for (const auto& [id, result] : best_per_shape) results.push_back(result);
+    util::Status status = RankAndClose(&results, options.k,
+                                       options.collect_threshold, stop, &st);
+    any_result = !results.empty();
+    Finish(stop.ok() ? natural_reason : StopReason(stop));
+    if (!status.ok()) return status;
+    return results;
+  }
+
+  MatchStats local_stats;
+  MatchStats& st;
+  const util::QueryControl control;
+  const char* const source;
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
+  obs::QueryTrace slow_trace;
+  obs::QueryTrace* trace = nullptr;
+  size_t candidates_emitted = 0;  // Prefilter metrics only.
+  bool any_result = false;        // Prefilter metrics only.
+  std::optional<util::ScopedQueryControl> scoped;
+};
+
+util::Status ValidateRanking(const MatchOptions& options, size_t k) {
+  if (!std::isfinite(options.collect_threshold)) {
+    return util::Status::InvalidArgument(
+        "epsilon/stop/threshold options must be finite");
+  }
+  if (k == 0 && options.collect_threshold <= 0.0) {
+    return util::Status::InvalidArgument(
+        "k must be positive outside collect mode");
+  }
+  return util::Status::OK();
+}
 
 EnvelopeMatcher::EnvelopeMatcher(const ShapeBase* base) : base_(base) {
   vertex_epoch_.assign(base_->NumVertices(), 0);
@@ -156,53 +257,42 @@ void EnvelopeMatcher::PrepareQueryCache(const Polyline& q,
   const bool want_grid =
       q.NumEdges() >= options.similarity.grid_min_edges && q.NumEdges() > 0;
   const bool same_query =
-      cache_valid_ && cache_query_.closed() == q.closed() &&
-      cache_query_.vertices() == q.vertices() &&
-      cache_quadrature_tolerance_ == options.similarity.quadrature_tolerance &&
-      cache_max_depth_ == options.similarity.max_depth &&
-      (query_grid_ != nullptr) == want_grid &&
-      (query_soa_ != nullptr) == !want_grid;
+      target_ != nullptr && target_->has_grid() == want_grid &&
+      target_->query().closed() == q.closed() &&
+      target_->query().vertices() == q.vertices() &&
+      target_->options().quadrature_tolerance ==
+          options.similarity.quadrature_tolerance &&
+      target_->options().max_depth == options.similarity.max_depth;
   if (same_query) return;
   eval_cache_.clear();
-  query_grid_ = want_grid ? std::make_unique<geom::EdgeGrid>(q) : nullptr;
-  // Small queries skip the grid; the SoA store still serves every
-  // *-ToQuery distance through the batch kernel.
-  query_soa_ = want_grid ? nullptr : std::make_unique<geom::EdgeSoA>(q);
-  cache_query_ = q;
-  cache_quadrature_tolerance_ = options.similarity.quadrature_tolerance;
-  cache_max_depth_ = options.similarity.max_depth;
-  cache_valid_ = true;
+  target_ = std::make_unique<QueryTarget>(q, options.similarity);
 }
 
-double EnvelopeMatcher::ComputeComponent(uint32_t copy_idx,
-                                         EvalComponent component,
-                                         const Polyline& q,
-                                         const MatchOptions& options) const {
-  const NormalizedCopy& copy = base_->copy(copy_idx);
-  switch (component) {
-    case kContinuousToQuery:
-      return query_grid_ != nullptr
-                 ? AvgMinDistance(copy.shape, *query_grid_, options.similarity)
-                 : AvgMinDistance(copy.shape, *query_soa_, options.similarity);
-    case kContinuousFromQuery:
-      return AvgMinDistance(q, copy.shape, options.similarity);
-    case kDiscreteToQuery:
-      return query_grid_ != nullptr
-                 ? DiscreteAvgMinDistance(copy.shape, *query_grid_)
-                 : DiscreteAvgMinDistance(copy.shape, *query_soa_);
-    case kDiscreteFromQuery:
-      return DiscreteAvgMinDistance(q, copy.shape);
+util::Result<NormalizedCopy> EnvelopeMatcher::Begin(const Polyline& query,
+                                                    const MatchOptions& options,
+                                                    Call* call) {
+  util::Status entry = call->control.Check();
+  if (!entry.ok()) {
+    call->st.termination = entry;
+    call->Finish(StopReason(entry));
+    return entry;
   }
-  return std::numeric_limits<double>::infinity();
+  // Bind the control for layers below that cannot take per-call
+  // parameters: the SimplexIndex traversal (external backends poll it per
+  // node) and the storage retry loop (no retrying past the deadline).
+  // The search runs on this thread, so a thread-local binding reaches
+  // exactly this query's index work.
+  call->scoped.emplace(&call->control);
+  GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
+  PrepareQueryCache(qnorm.shape, options);
+  return qnorm;
 }
 
-void EnvelopeMatcher::EvaluateCandidates(const std::vector<uint32_t>& candidates,
-                                         const Polyline& q,
-                                         const MatchOptions& options,
-                                         std::vector<double>* distances,
-                                         MatchStats* stats) {
-  uint32_t components[2];
-  const size_t num_components = ComponentsFor(options.measure, components);
+void EnvelopeMatcher::ScoreCandidates(
+    std::span<const uint32_t> candidates, const MatchOptions& options,
+    MatchStats* stats, std::unordered_map<ShapeId, MatchResult>* best) {
+  MeasureComponent components[2];
+  const size_t num_components = ComponentsOf(options.measure, components);
   const size_t n = candidates.size();
   // component_values[i * 2 + j] holds component j of candidate i.
   pending_distances_.assign(n * 2, 0.0);
@@ -210,8 +300,8 @@ void EnvelopeMatcher::EvaluateCandidates(const std::vector<uint32_t>& candidates
   missing_slots_.clear();
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < num_components; ++j) {
-      const uint64_t key =
-          static_cast<uint64_t>(candidates[i]) * 4 + components[j];
+      const uint64_t key = static_cast<uint64_t>(candidates[i]) * 4 +
+                           static_cast<uint64_t>(components[j]);
       const auto it = eval_cache_.find(key);
       if (it != eval_cache_.end()) {
         pending_distances_[i * 2 + j] = it->second;
@@ -224,13 +314,14 @@ void EnvelopeMatcher::EvaluateCandidates(const std::vector<uint32_t>& candidates
   }
 
   // Fan the uncached similarity integrals out across the pool. Each item
-  // writes only its own slot; the cache is read-only during the region.
+  // writes only its own slot; the cache and the target are read-only
+  // during the region.
   missing_values_.assign(missing_keys_.size(), 0.0);
   const auto score_one = [&](size_t /*worker*/, size_t w) {
     const uint64_t key = missing_keys_[w];
     missing_values_[w] =
-        ComputeComponent(static_cast<uint32_t>(key / 4),
-                         static_cast<EvalComponent>(key % 4), q, options);
+        target_->Component(base_->copy(static_cast<uint32_t>(key / 4)).shape,
+                           static_cast<MeasureComponent>(key % 4));
   };
   util::ThreadPool* pool = ResolvePool(options);
   if (pool != nullptr && missing_keys_.size() > 1) {
@@ -239,18 +330,19 @@ void EnvelopeMatcher::EvaluateCandidates(const std::vector<uint32_t>& candidates
     for (size_t w = 0; w < missing_keys_.size(); ++w) score_one(0, w);
   }
 
-  // Merge barrier: fold results into the memo and the output in candidate
-  // order — deterministic for every thread count.
+  // Merge barrier: fold results into the memo and the best-per-shape
+  // table in candidate order — deterministic for every thread count.
   for (size_t w = 0; w < missing_keys_.size(); ++w) {
     eval_cache_.emplace(missing_keys_[w], missing_values_[w]);
     pending_distances_[missing_slots_[w]] = missing_values_[w];
   }
-  distances->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    (*distances)[i] =
+    const double distance =
         num_components == 2
             ? std::max(pending_distances_[i * 2], pending_distances_[i * 2 + 1])
             : pending_distances_[i * 2];
+    FoldBest({base_->copy(candidates[i]).shape_id, distance, candidates[i]},
+             best);
   }
 }
 
@@ -271,79 +363,18 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   }
   if (!std::isfinite(options.initial_epsilon) ||
       !std::isfinite(options.max_epsilon) ||
-      !std::isfinite(options.stop_factor) ||
-      !std::isfinite(options.collect_threshold)) {
+      !std::isfinite(options.stop_factor)) {
     return util::Status::InvalidArgument(
         "epsilon/stop/threshold options must be finite");
   }
+  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options, options.k));
 
-  MatchStats local_stats;
-  MatchStats& st = stats != nullptr ? *stats : local_stats;
-  st = MatchStats{};
-
-  // Observability: registry counters are flushed once at exit (relaxed
-  // adds, armed in production); the per-round timeline is recorded only
-  // when a trace sink is attached or the slow-query log is armed.
-  const MatcherMetrics& metrics = MatcherMetrics::Get();
-  const auto obs_start = std::chrono::steady_clock::now();
-  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
-  obs::QueryTrace slow_trace;
-  obs::QueryTrace* qtrace = options.query_trace;
-  if (qtrace == nullptr && slow_log.armed()) qtrace = &slow_trace;
-  if (qtrace != nullptr) {
-    qtrace->Start("match n=" + std::to_string(query.size()) +
-                  " k=" + std::to_string(options.k));
-  }
-  const auto finish_obs = [&](const char* reason) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      obs_start)
-            .count();
-    metrics.queries->Inc();
-    metrics.latency->Observe(seconds);
-    metrics.rounds->Inc(st.iterations);
-    metrics.vertices_reported->Inc(st.vertices_reported);
-    metrics.vertices_accepted->Inc(st.vertices_accepted);
-    metrics.candidates->Inc(st.candidates_evaluated);
-    metrics.candidates_skipped->Inc(st.candidates_skipped);
-    metrics.eval_cache_hits->Inc(st.eval_cache_hits);
-    if (st.partial) metrics.partials->Inc();
-    if (st.degraded) metrics.degraded->Inc();
-    metrics.TerminationCounter(reason)->Inc();
-    if (qtrace != nullptr) {
-      if (st.degraded) {
-        qtrace->AddEvent("degraded",
-                         std::to_string(st.skipped_subtrees) +
-                             " subtrees skipped (" +
-                             std::to_string(st.skipped_leaves) + " leaves)");
-      }
-      qtrace->Finish(reason, st.partial, st.degraded);
-      if (slow_log.armed()) slow_log.Offer(*qtrace);
-    }
-  };
-
-  // Lifecycle entry check: a query that arrives already expired or
-  // cancelled performs no work at all — not even query normalization.
-  const util::QueryControl control{options.deadline, options.cancel_token};
-  {
-    util::Status entry = control.Check();
-    if (!entry.ok()) {
-      st.termination = entry;
-      finish_obs(StopReason(entry));
-      return entry;
-    }
-  }
-  // Bind the control for layers below that cannot take per-call
-  // parameters: the SimplexIndex traversal (external backends poll it per
-  // node) and the storage retry loop (no retrying past the deadline).
-  // The range-search phase runs on this thread, so a thread-local
-  // binding reaches exactly this query's index work.
-  const util::ScopedQueryControl scoped(&control);
-
-  GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
+  Call call(query, options, stats, nullptr);
+  MatchStats& st = call.st;
+  GEOSIR_ASSIGN_OR_RETURN(const NormalizedCopy qnorm,
+                          Begin(query, options, &call));
   const Polyline& q = qnorm.shape;
-
-  PrepareQueryCache(q, options);
+  const QueryTarget& target = *target_;
 
   const double n = static_cast<double>(std::max<size_t>(1, base_->NumVertices()));
   const double p = static_cast<double>(std::max<size_t>(1, base_->NumCopies()));
@@ -392,18 +423,9 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     return best_distances[options.k - 1];
   };
 
-  // Exact membership distance to the (normalized) query; the prebuilt
-  // edge grid and the flat SoA store return the same value bit for bit
-  // (both run the canonical batch kernel arithmetic).
-  const auto query_distance = [&](geom::Point pt) {
-    return query_grid_ != nullptr ? query_grid_->Distance(pt)
-                                  : query_soa_->MinDistance(pt);
-  };
-
   double eps_prev = 0.0;
   double eps = eps1;
   std::vector<uint32_t> touched;  // Copies touched in this iteration.
-  std::vector<double> candidate_distances;
 
   // Lifecycle stop state. `hard_stop` (deadline / cancel) abandons the
   // current round without scoring its candidates — a query on its way out
@@ -431,11 +453,11 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     uint64_t subtrees_skipped = 0;
   } round_base;
   const auto flush_round_trace = [&]() {
-    if (qtrace == nullptr || !round_base.active) return;
+    if (call.trace == nullptr || !round_base.active) return;
     obs::RoundTrace round;
     round.round = round_base.round;
     round.epsilon = round_base.epsilon;
-    round.elapsed_ms = qtrace->ElapsedMs() - round_base.at_ms;
+    round.elapsed_ms = call.trace->ElapsedMs() - round_base.at_ms;
     round.vertices_reported = st.vertices_reported - round_base.vertices_reported;
     round.vertices_accepted = st.vertices_accepted - round_base.vertices_accepted;
     round.candidates_admitted =
@@ -448,14 +470,14 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
         index_stats.nodes_visited - round_base.nodes_visited;
     round.subtrees_skipped =
         index_stats.subtrees_skipped - round_base.subtrees_skipped;
-    qtrace->AddRound(round);
+    call.trace->AddRound(round);
     round_base.active = false;
   };
 
   while (true) {
     flush_round_trace();
     // Round-entry checkpoint (also the per-round budget gate).
-    if (hard_stop.ok()) hard_stop = control.Check();
+    if (hard_stop.ok()) hard_stop = call.control.Check();
     if (hard_stop.ok() && budget_stop.ok() && budget.max_rounds > 0 &&
         st.iterations >= budget.max_rounds) {
       budget_stop = util::Status::ResourceExhausted("round budget exhausted");
@@ -463,13 +485,13 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     if (!hard_stop.ok() || !budget_stop.ok()) break;
     ++st.iterations;
     touched.clear();
-    if (qtrace != nullptr) {
+    if (call.trace != nullptr) {
       const rangesearch::QueryStats& index_stats = base_->index().stats();
       round_base = RoundBaseline{
           true,
           st.iterations,
           eps,
-          qtrace->ElapsedMs(),
+          call.trace->ElapsedMs(),
           st.vertices_reported,
           st.vertices_accepted,
           st.candidates_evaluated,
@@ -497,12 +519,12 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
             // Amortized deadline/cancel poll: one Check per 1024 reports
             // keeps the overhead unmeasurable on the hot path.
             if ((st.vertices_reported & 1023u) == 0) {
-              hard_stop = control.Check();
+              hard_stop = call.control.Check();
               if (!hard_stop.ok()) return;
             }
             if (vertex_epoch_[ip.id] == epoch_) return;  // Deduplicated.
             // Exact membership: the cover is a superset of the ring.
-            const double d = query_distance(ip.p);
+            const double d = target.Distance(ip.p);
             if (d > eps) return;
             vertex_epoch_[ip.id] = epoch_;
             ++st.vertices_accepted;
@@ -531,7 +553,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
             if (hard_stop.ok()) hard_stop = index_status;
           } else {
             flush_round_trace();
-            finish_obs("error");
+            call.Finish("error");
             return index_status;
           }
         }
@@ -579,18 +601,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     // Step 4: score this round's candidate set — the expensive similarity
     // integrals fan out across the pool; the merge below runs on this
     // thread in candidate order, so ranking is deterministic.
-    EvaluateCandidates(pending_eval_, q, options, &candidate_distances, &st);
-    for (size_t i = 0; i < pending_eval_.size(); ++i) {
-      const uint32_t copy_idx = pending_eval_[i];
-      const NormalizedCopy& copy = base_->copy(copy_idx);
-      const double distance = candidate_distances[i];
-      auto [it, inserted] = best_per_shape.try_emplace(
-          copy.shape_id, MatchResult{copy.shape_id, distance, copy_idx});
-      if (!inserted && distance < it->second.distance) {
-        it->second.distance = distance;
-        it->second.copy_index = copy_idx;
-      }
-    }
+    ScoreCandidates(pending_eval_, options, &st, &best_per_shape);
 
     // Refresh the sorted distance list (small: one entry per shape seen).
     best_distances.clear();
@@ -628,72 +639,10 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   st.skipped_leaves = static_cast<size_t>(
       base_->index().stats().leaves_skipped - skipped_leaves_before);
   st.degraded = st.skipped_subtrees > 0;
-
-  std::vector<MatchResult> results;
-  results.reserve(best_per_shape.size());
-  for (const auto& [id, result] : best_per_shape) {
-    if (collect_mode && result.distance > options.collect_threshold) continue;
-    results.push_back(result);
-  }
-  std::sort(results.begin(), results.end(),
-            [](const MatchResult& a, const MatchResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.shape_id < b.shape_id;
-            });
-  if (!collect_mode && results.size() > options.k) results.resize(options.k);
-
-  // Partial-result contract: a lifecycle stop with ranked candidates in
-  // hand returns them as an OK partial result (the ranking among scored
-  // candidates is exact); a stop before anything was ranked surfaces the
-  // stop reason as the call's error. Either way `termination` records it.
-  const util::Status stop = !hard_stop.ok() ? hard_stop : budget_stop;
-  if (!stop.ok()) {
-    st.termination = stop;
-    if (results.empty()) {
-      finish_obs(StopReason(stop));
-      return stop;
-    }
-    st.partial = true;
-    finish_obs(StopReason(stop));
-  } else {
-    finish_obs(st.stopped_early ? "early_exit" : "exhausted");
-  }
-  return results;
+  return call.Close(best_per_shape, options,
+                    !hard_stop.ok() ? hard_stop : budget_stop,
+                    st.stopped_early ? "early_exit" : "exhausted");
 }
-
-namespace {
-
-/// Tiered-retrieval metric families (DESIGN.md section 14.4): queries
-/// that went through a CandidateSource pre-filter instead of envelope
-/// growth. `empty` is the recall proxy an operator watches: prefiltered
-/// queries that verified nothing at all trend with pre-filter misses.
-struct PrefilterMetrics {
-  obs::Counter* queries;
-  obs::Counter* candidates;
-  obs::Counter* verified;
-  obs::Counter* empty;
-
-  static const PrefilterMetrics& Get() {
-    static const PrefilterMetrics* metrics = [] {
-      obs::MetricRegistry& r = obs::MetricRegistry::Default();
-      auto* m = new PrefilterMetrics();
-      m->queries = r.GetCounter("geosir_matcher_prefilter_queries_total",
-                                "MatchCandidates calls finished");
-      m->candidates =
-          r.GetCounter("geosir_matcher_prefilter_candidates_total",
-                       "Candidates emitted by the sources");
-      m->verified = r.GetCounter("geosir_matcher_prefilter_verified_total",
-                                 "Candidates exactly scored");
-      m->empty = r.GetCounter(
-          "geosir_matcher_prefilter_empty_total",
-          "Prefiltered queries returning no results (recall proxy)");
-      return m;
-    }();
-    return *metrics;
-  }
-};
-
-}  // namespace
 
 util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
     const Polyline& query, CandidateSource* source, const MatchOptions& options,
@@ -704,66 +653,12 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
   if (source == nullptr) {
     return util::Status::InvalidArgument("MatchCandidates requires a source");
   }
-  if (!std::isfinite(options.collect_threshold)) {
-    return util::Status::InvalidArgument(
-        "epsilon/stop/threshold options must be finite");
-  }
+  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options, options.k));
 
-  MatchStats local_stats;
-  MatchStats& st = stats != nullptr ? *stats : local_stats;
-  st = MatchStats{};
-
-  const MatcherMetrics& metrics = MatcherMetrics::Get();
-  const PrefilterMetrics& prefilter = PrefilterMetrics::Get();
-  const auto obs_start = std::chrono::steady_clock::now();
-  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Default();
-  obs::QueryTrace slow_trace;
-  obs::QueryTrace* qtrace = options.query_trace;
-  if (qtrace == nullptr && slow_log.armed()) qtrace = &slow_trace;
-  if (qtrace != nullptr) {
-    qtrace->Start(std::string("match_candidates src=") + source->name() +
-                  " n=" + std::to_string(query.size()) +
-                  " k=" + std::to_string(options.k));
-  }
-  size_t candidates_emitted = 0;
-  bool any_result = false;
-  const auto finish_obs = [&](const char* reason) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      obs_start)
-            .count();
-    metrics.queries->Inc();
-    metrics.latency->Observe(seconds);
-    metrics.candidates->Inc(st.candidates_evaluated);
-    metrics.candidates_skipped->Inc(st.candidates_skipped);
-    metrics.eval_cache_hits->Inc(st.eval_cache_hits);
-    if (st.partial) metrics.partials->Inc();
-    metrics.TerminationCounter(reason)->Inc();
-    prefilter.queries->Inc();
-    prefilter.candidates->Inc(candidates_emitted);
-    prefilter.verified->Inc(st.candidates_evaluated);
-    if (!any_result) prefilter.empty->Inc();
-    if (qtrace != nullptr) {
-      qtrace->Finish(reason, st.partial, st.degraded);
-      if (slow_log.armed()) slow_log.Offer(*qtrace);
-    }
-  };
-
-  // Lifecycle entry check: same zero-work contract as Match.
-  const util::QueryControl control{options.deadline, options.cancel_token};
-  {
-    util::Status entry = control.Check();
-    if (!entry.ok()) {
-      st.termination = entry;
-      finish_obs(StopReason(entry));
-      return entry;
-    }
-  }
-  const util::ScopedQueryControl scoped(&control);
-
-  GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
-  const Polyline& q = qnorm.shape;
-  PrepareQueryCache(q, options);
+  Call call(query, options, stats, source->name());
+  MatchStats& st = call.st;
+  GEOSIR_ASSIGN_OR_RETURN(const NormalizedCopy qnorm,
+                          Begin(query, options, &call));
 
   // Tier 1: candidate generation. The candidate budget is enforced here,
   // at the source, so the truncation is deterministic (the source's
@@ -771,17 +666,18 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
   CandidateSourceStats gen_stats;
   std::vector<uint32_t> candidates;
   util::Status generate = source->Generate(
-      q, options.budget.max_candidates, options, &candidates, &gen_stats);
-  candidates_emitted = candidates.size();
-  if (qtrace != nullptr) {
-    qtrace->AddEvent("candidates",
-                     std::string(source->name()) + " emitted " +
-                         std::to_string(candidates.size()) +
-                         (gen_stats.truncated ? " (truncated)" : ""));
+      qnorm.shape, options.budget.max_candidates, options, &candidates,
+      &gen_stats);
+  call.candidates_emitted = candidates.size();
+  if (call.trace != nullptr) {
+    call.trace->AddEvent("candidates",
+                         std::string(source->name()) + " emitted " +
+                             std::to_string(candidates.size()) +
+                             (gen_stats.truncated ? " (truncated)" : ""));
   }
   if (!generate.ok()) {
     if (!util::IsLifecycleStop(generate.code())) {
-      finish_obs("error");
+      call.Finish("error");
       return generate;
     }
     // A query already on its way out must not start similarity
@@ -789,7 +685,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
     // nothing-ranked-yet contract.
     st.candidates_skipped = candidates.size();
     st.termination = generate;
-    finish_obs(StopReason(generate));
+    call.Finish(StopReason(generate));
     return generate;
   }
   util::Status budget_stop;
@@ -802,79 +698,36 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
   // chunks without a per-candidate poll.
   constexpr size_t kChunk = 64;
   std::unordered_map<ShapeId, MatchResult> best_per_shape;
-  std::vector<uint32_t> chunk;
-  std::vector<double> chunk_distances;
   util::Status hard_stop;
   for (size_t begin = 0; begin < candidates.size(); begin += kChunk) {
-    hard_stop = control.Check();
+    hard_stop = call.control.Check();
     if (!hard_stop.ok()) {
       st.candidates_skipped += candidates.size() - begin;
       break;
     }
-    const size_t end = std::min(candidates.size(), begin + kChunk);
-    chunk.assign(candidates.begin() + static_cast<ptrdiff_t>(begin),
-                 candidates.begin() + static_cast<ptrdiff_t>(end));
-    EvaluateCandidates(chunk, q, options, &chunk_distances, &st);
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      const uint32_t copy_idx = chunk[i];
-      ++st.candidates_evaluated;
-      if (trace != nullptr) trace->push_back(copy_idx);
-      const NormalizedCopy& copy = base_->copy(copy_idx);
-      const double distance = chunk_distances[i];
-      auto [it, inserted] = best_per_shape.try_emplace(
-          copy.shape_id, MatchResult{copy.shape_id, distance, copy_idx});
-      if (!inserted && distance < it->second.distance) {
-        it->second.distance = distance;
-        it->second.copy_index = copy_idx;
-      }
+    const std::span<const uint32_t> chunk(
+        candidates.data() + begin, std::min(kChunk, candidates.size() - begin));
+    ScoreCandidates(chunk, options, &st, &best_per_shape);
+    st.candidates_evaluated += chunk.size();
+    if (trace != nullptr) {
+      trace->insert(trace->end(), chunk.begin(), chunk.end());
     }
   }
 
-  const bool collect_mode = options.collect_threshold > 0.0;
-  std::vector<MatchResult> results;
-  results.reserve(best_per_shape.size());
-  for (const auto& [id, result] : best_per_shape) {
-    if (collect_mode && result.distance > options.collect_threshold) continue;
-    results.push_back(result);
-  }
-  std::sort(results.begin(), results.end(),
-            [](const MatchResult& a, const MatchResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.shape_id < b.shape_id;
-            });
-  if (!collect_mode && results.size() > options.k) results.resize(options.k);
-  any_result = !results.empty();
-
-  // Partial-result contract, exactly as Match: a stop with ranked
-  // candidates returns them as an OK partial; a stop before anything was
-  // ranked surfaces the stop status. A fully scored candidate set — even
-  // an approximate one — is a natural "exhausted" finish.
+  // A fully scored candidate set — even an approximate one — is a
+  // natural "exhausted" finish.
   const util::Status stop = !hard_stop.ok() ? hard_stop : budget_stop;
-  if (!stop.ok()) {
-    st.termination = stop;
-    if (results.empty()) {
-      finish_obs(StopReason(stop));
-      return stop;
-    }
-    st.partial = true;
-    finish_obs(StopReason(stop));
-  } else {
-    st.exhausted = true;
-    finish_obs("exhausted");
-  }
-  return results;
+  st.exhausted = stop.ok();
+  return call.Close(best_per_shape, options, stop, "exhausted");
 }
 
-util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
-    const ShapeBase& base, const std::vector<Polyline>& queries,
-    const MatchOptions& options, std::vector<MatchStats>* stats) {
-  if (!base.finalized()) {
-    return util::Status::FailedPrecondition("ShapeBase not finalized");
-  }
-  const size_t n = queries.size();
-  std::vector<std::vector<MatchResult>> results(n);
+util::Status RunMatchBatch(
+    const ShapeBase* base, size_t n, const MatchOptions& options,
+    std::vector<MatchStats>* stats,
+    const std::function<util::Status(EnvelopeMatcher*, size_t, MatchStats*)>&
+        run_query) {
   if (stats != nullptr) stats->assign(n, MatchStats{});
-  if (n == 0) return results;
+  if (n == 0) return util::Status::OK();
 
   util::ThreadPool* pool = ResolvePool(options);
   const size_t slots =
@@ -885,40 +738,37 @@ util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
   // candidate scoring already fans out through the same pool; nested
   // parallel regions degrade to inline execution, which keeps per-query
   // results identical to a serial loop.
-  std::vector<std::unique_ptr<EnvelopeMatcher>> matchers;
-  matchers.reserve(slots);
-  for (size_t s = 0; s < slots; ++s) {
-    matchers.push_back(std::make_unique<EnvelopeMatcher>(&base));
+  std::vector<std::unique_ptr<EnvelopeMatcher>> matchers(slots);
+  if (base != nullptr) {
+    for (auto& matcher : matchers) {
+      matcher = std::make_unique<EnvelopeMatcher>(base);
+    }
   }
   std::vector<util::Status> errors(n);
   std::vector<uint8_t> started(n, 0);
 
   // Per-query lifecycle stops do not fail the batch: a query that ran out
   // of time (or hit its budget / a batch-wide cancel) leaves its partial
-  // results (possibly empty) in results[i] with the stop recorded in
+  // results (possibly empty) with the stop recorded in
   // stats[i].termination, while the other queries proceed. Real errors
   // still fail the whole batch, first query order.
-  const auto run_query = [&](size_t worker, size_t i) {
+  const auto run = [&](size_t worker, size_t i) {
     started[i] = 1;
-    MatchStats* query_stats = stats != nullptr ? &(*stats)[i] : nullptr;
-    auto result = matchers[worker]->Match(queries[i], options, query_stats);
-    if (result.ok()) {
-      results[i] = *std::move(result);
-    } else if (!util::IsLifecycleStop(result.status().code())) {
-      errors[i] = result.status();
-    }
+    util::Status status = run_query(matchers[worker].get(), i,
+                                    stats != nullptr ? &(*stats)[i] : nullptr);
+    if (!util::IsLifecycleStop(status.code())) errors[i] = std::move(status);
   };
   if (pool != nullptr) {
     // The token doubles as the pool's checkpoint: once cancelled, queries
     // not yet claimed never start (marked below), in-flight ones observe
     // the token themselves and stop with best-so-far.
-    pool->ParallelFor(n, options.num_threads, run_query, options.cancel_token);
+    pool->ParallelFor(n, options.num_threads, run, options.cancel_token);
   } else {
     for (size_t i = 0; i < n; ++i) {
       if (options.cancel_token != nullptr && options.cancel_token->cancelled()) {
         break;
       }
-      run_query(0, i);
+      run(0, i);
     }
   }
   if (stats != nullptr) {
@@ -932,6 +782,23 @@ util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
   for (const util::Status& status : errors) {
     GEOSIR_RETURN_IF_ERROR(status);
   }
+  return util::Status::OK();
+}
+
+util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
+    const ShapeBase& base, const std::vector<Polyline>& queries,
+    const MatchOptions& options, std::vector<MatchStats>* stats) {
+  if (!base.finalized()) {
+    return util::Status::FailedPrecondition("ShapeBase not finalized");
+  }
+  std::vector<std::vector<MatchResult>> results(queries.size());
+  GEOSIR_RETURN_IF_ERROR(RunMatchBatch(
+      &base, queries.size(), options, stats,
+      [&](EnvelopeMatcher* matcher, size_t i, MatchStats* query_stats) {
+        auto result = matcher->Match(queries[i], options, query_stats);
+        if (result.ok()) results[i] = std::move(result).value();
+        return result.status();
+      }));
   return results;
 }
 

@@ -2,14 +2,15 @@
 #define GEOSIR_CORE_ENVELOPE_MATCHER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/match_types.h"
 #include "core/shape_base.h"
 #include "core/similarity.h"
-#include "geom/edge_grid.h"
 #include "util/status.h"
 
 namespace geosir::core {
@@ -32,9 +33,11 @@ class EnvelopeMatcher {
   explicit EnvelopeMatcher(const ShapeBase* base);
 
   /// Retrieves the k best matches for `query` (raw, unnormalized
-  /// coordinates). Returns an empty vector when nothing entered the
-  /// envelope before max_epsilon — the caller should fall back to
-  /// geometric hashing (Section 3). `stats` and `trace` are optional.
+  /// coordinates). `stats` and `trace` are optional. When nothing
+  /// entered the envelope before max_epsilon the result is empty with
+  /// MatchStats::exhausted set; no tier falls back to geometric hashing
+  /// (Section 3) on its own — that fallback is ROADMAP item 3.
+  /// options.k must be positive outside collect mode (kInvalidArgument).
   ///
   /// Lifecycle: options.deadline / cancel_token / budget terminate the
   /// search cooperatively (checked at round, candidate and amortized
@@ -71,33 +74,25 @@ class EnvelopeMatcher {
       AccessTrace* trace = nullptr);
 
  private:
-  /// The four directed halves the ranking measures are composed from.
-  /// Caching at this granularity lets the symmetric measures share work
-  /// with their directed counterparts.
-  enum EvalComponent : uint32_t {
-    kContinuousToQuery = 0,    // h_avg(copy, q)
-    kContinuousFromQuery = 1,  // h_avg(q, copy)
-    kDiscreteToQuery = 2,
-    kDiscreteFromQuery = 3,
-  };
+  struct Call;
 
-  /// Resets the per-query memo (component cache + query edge grid) when
-  /// the normalized query or the similarity options changed.
+  /// The prologue Match and MatchCandidates share once their options are
+  /// valid: lifecycle entry check (an expired or cancelled query does no
+  /// work), control binding, NormalizeQuery, PrepareQueryCache.
+  util::Result<NormalizedCopy> Begin(const geom::Polyline& query,
+                                     const MatchOptions& options, Call* call);
+
+  /// Rebuilds the per-query memo (component cache + query target) unless
+  /// it already serves this normalized query and similarity options.
   void PrepareQueryCache(const geom::Polyline& q, const MatchOptions& options);
 
-  /// Computes one directed component for one copy. Pure: reads only the
-  /// base, the query, and the (immutable during scoring) query grid, so
-  /// it is safe to call concurrently.
-  double ComputeComponent(uint32_t copy_idx, EvalComponent component,
-                          const geom::Polyline& q,
-                          const MatchOptions& options) const;
-
-  /// Scores `candidates` under options.measure into `distances`
-  /// (parallel across the pool when enabled), merging cache lookups and
-  /// insertions deterministically on the calling thread.
-  void EvaluateCandidates(const std::vector<uint32_t>& candidates,
-                          const geom::Polyline& q, const MatchOptions& options,
-                          std::vector<double>* distances, MatchStats* stats);
+  /// Scores `candidates` under options.measure (parallel across the pool
+  /// when enabled) and folds them into the best result per shape, merging
+  /// memo lookups, insertions and the fold deterministically on the
+  /// calling thread.
+  void ScoreCandidates(std::span<const uint32_t> candidates,
+                       const MatchOptions& options, MatchStats* stats,
+                       std::unordered_map<ShapeId, MatchResult>* best);
 
   const ShapeBase* base_;
 
@@ -109,20 +104,14 @@ class EnvelopeMatcher {
   std::vector<uint32_t> copy_touch_iter_; // Last iteration that touched it.
   std::vector<uint8_t> copy_evaluated_;
 
-  // Per-query scoring state, keyed by the normalized query: an edge grid
-  // over the query boundary (the distance target of every *-ToQuery
-  // component) — or, below the grid threshold, a flat SoA edge store the
-  // batch SIMD kernel streams — and a memo of computed components keyed
-  // by copy_index * 4 + EvalComponent. All survive across Match calls
+  // Per-query scoring state, keyed by the normalized query: the query
+  // target (the distance target of every *-ToQuery component and of the
+  // envelope membership test) and a memo of computed components keyed by
+  // copy_index * 4 + MeasureComponent. Both survive across Match calls
   // with the same query, so re-matching (e.g. the tombstone-slack retries
   // of DynamicShapeBase) never re-integrates a copy it has already
   // scored.
-  geom::Polyline cache_query_;
-  double cache_quadrature_tolerance_ = 0.0;
-  int cache_max_depth_ = 0;
-  bool cache_valid_ = false;
-  std::unique_ptr<geom::EdgeGrid> query_grid_;
-  std::unique_ptr<geom::EdgeSoA> query_soa_;
+  std::unique_ptr<QueryTarget> target_;
   std::unordered_map<uint64_t, double> eval_cache_;
 
   // Scratch reused across rounds (no steady-state allocation).
@@ -148,6 +137,23 @@ class EnvelopeMatcher {
 util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
     const ShapeBase& base, const std::vector<geom::Polyline>& queries,
     const MatchOptions& options = {}, std::vector<MatchStats>* stats = nullptr);
+
+/// The one batch executor, behind core::MatchBatch and
+/// DynamicShapeBase::MatchBatch, with the lifecycle contract documented
+/// above: calls `run_query(matcher, i, stats_i)` for every i in [0, n)
+/// across the pool `options` selects, one EnvelopeMatcher over `base` per
+/// worker slot (null when `base` is). Lifecycle stops returned by
+/// run_query do not fail the batch; other errors do, first by query order.
+util::Status RunMatchBatch(
+    const ShapeBase* base, size_t n, const MatchOptions& options,
+    std::vector<MatchStats>* stats,
+    const std::function<util::Status(EnvelopeMatcher*, size_t, MatchStats*)>&
+        run_query);
+
+/// The option checks every ranking entry point shares: a finite
+/// collect_threshold, and a positive result count `k` outside collect
+/// mode (kInvalidArgument otherwise).
+util::Status ValidateRanking(const MatchOptions& options, size_t k);
 
 }  // namespace geosir::core
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "core/match_types.h"
 #include "geom/transform.h"
 
 namespace geosir::core {
@@ -91,12 +92,7 @@ std::vector<FeatureIndexBaseline::QueryResult> FeatureIndexBaseline::Query(
   std::vector<QueryResult> results;
   results.reserve(best.size());
   for (const auto& [id, d] : best) results.push_back(QueryResult{id, d});
-  std::sort(results.begin(), results.end(),
-            [](const QueryResult& a, const QueryResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.shape_id < b.shape_id;
-            });
-  if (results.size() > k) results.resize(k);
+  RankResults(&results, k);
   return results;
 }
 

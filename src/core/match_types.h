@@ -1,8 +1,11 @@
 #ifndef GEOSIR_CORE_MATCH_TYPES_H_
 #define GEOSIR_CORE_MATCH_TYPES_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/shape.h"
@@ -17,18 +20,6 @@ class ThreadPool;
 }  // namespace geosir::util
 
 namespace geosir::core {
-
-/// Which similarity measure ranks the candidates.
-enum class MatchMeasure {
-  /// max(h_avg(P, Q), h_avg(Q, P)) with the continuous average (default).
-  kContinuousSymmetric,
-  /// h_avg(P, Q): continuous average from the database shape to the query.
-  kContinuousDirected,
-  /// Vertex-based symmetric average.
-  kDiscreteSymmetric,
-  /// Vertex-based average from the database shape to the query.
-  kDiscreteDirected,
-};
 
 /// Hard caps on the work one Match call may perform; 0 means unlimited.
 /// Budgets are enforced on the single-threaded control path (round entry,
@@ -186,6 +177,62 @@ struct MatchStats {
 /// paper's locality claim — "two shapes which are processed successively
 /// are usually similar" — is about exactly this sequence.
 using AccessTrace = std::vector<uint32_t>;
+
+/// The best-per-shape fold every ranking runs before RankAndClose: keeps
+/// `result` when it beats the one held for its shape.
+inline void FoldBest(const MatchResult& result,
+                     std::unordered_map<ShapeId, MatchResult>* best) {
+  auto [it, inserted] = best->try_emplace(result.shape_id, result);
+  if (!inserted && result.distance < it->second.distance) it->second = result;
+}
+
+/// The (distance, id) key every ranking sorts by: any result with
+/// `distance` and `shape_id` members, or a (stable id, distance) pair.
+template <typename Result>
+std::pair<double, uint64_t> RankKey(const Result& r) {
+  return {r.distance, r.shape_id};
+}
+inline std::pair<double, uint64_t> RankKey(
+    const std::pair<uint64_t, double>& r) {
+  return {r.second, r.first};
+}
+
+/// The (distance, id) ranking every result list goes through: with a
+/// positive `collect_threshold` keeps the results within it, otherwise
+/// cuts to the `k` best; sorts by (distance, id) either way.
+template <typename Result>
+void RankResults(std::vector<Result>* results, size_t k,
+                 double collect_threshold = -1.0) {
+  if (collect_threshold > 0.0) {
+    std::erase_if(*results, [&](const Result& r) {
+      return RankKey(r).first > collect_threshold;
+    });
+  }
+  std::sort(results->begin(), results->end(),
+            [](const Result& a, const Result& b) {
+              const auto [da, ia] = RankKey(a);
+              const auto [db, ib] = RankKey(b);
+              if (da != db) return da < db;
+              return ia < ib;
+            });
+  if (collect_threshold <= 0.0 && results->size() > k) results->resize(k);
+}
+
+/// The one rank-and-close step of every ranking entry point: RankResults,
+/// then the partial-result contract for `stop`. A lifecycle stop with
+/// ranked results in hand marks `stats` partial and returns OK; a stop
+/// before anything was ranked returns `stop` itself;
+/// `stats->termination` records the stop either way.
+template <typename Result>
+util::Status RankAndClose(std::vector<Result>* results, size_t k,
+                          double collect_threshold, const util::Status& stop,
+                          MatchStats* stats) {
+  RankResults(results, k, collect_threshold);
+  if (stop.ok()) return util::Status::OK();
+  stats->termination = stop;
+  stats->partial = !results->empty();
+  return results->empty() ? stop : util::Status::OK();
+}
 
 }  // namespace geosir::core
 

@@ -164,4 +164,59 @@ double PartialHausdorff(const Polyline& a, const Polyline& b,
                   PartialDirectedHausdorff(b, a, fraction));
 }
 
+size_t ComponentsOf(MatchMeasure measure, MeasureComponent out[2]) {
+  switch (measure) {
+    case MatchMeasure::kContinuousSymmetric:
+      out[0] = MeasureComponent::kContinuousToQuery;
+      out[1] = MeasureComponent::kContinuousFromQuery;
+      return 2;
+    case MatchMeasure::kContinuousDirected:
+      out[0] = MeasureComponent::kContinuousToQuery;
+      return 1;
+    case MatchMeasure::kDiscreteSymmetric:
+      out[0] = MeasureComponent::kDiscreteToQuery;
+      out[1] = MeasureComponent::kDiscreteFromQuery;
+      return 2;
+    case MatchMeasure::kDiscreteDirected:
+      out[0] = MeasureComponent::kDiscreteToQuery;
+      return 1;
+  }
+  return 0;
+}
+
+QueryTarget::QueryTarget(const Polyline& query,
+                         const SimilarityOptions& options)
+    : query_(query), options_(options) {
+  if (query.NumEdges() >= options.grid_min_edges && query.NumEdges() > 0) {
+    grid_ = std::make_unique<geom::EdgeGrid>(query);
+  } else {
+    soa_ = std::make_unique<geom::EdgeSoA>(query);
+  }
+}
+
+double QueryTarget::Component(const Polyline& copy,
+                              MeasureComponent component) const {
+  switch (component) {
+    case MeasureComponent::kContinuousToQuery:
+      return grid_ != nullptr ? AvgMinDistance(copy, *grid_, options_)
+                              : AvgMinDistance(copy, *soa_, options_);
+    case MeasureComponent::kContinuousFromQuery:
+      return AvgMinDistance(query_, copy, options_);
+    case MeasureComponent::kDiscreteToQuery:
+      return grid_ != nullptr ? DiscreteAvgMinDistance(copy, *grid_)
+                              : DiscreteAvgMinDistance(copy, *soa_);
+    case MeasureComponent::kDiscreteFromQuery:
+      return DiscreteAvgMinDistance(query_, copy);
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+double QueryTarget::Score(const Polyline& copy, MatchMeasure measure) const {
+  MeasureComponent components[2];
+  const size_t n = ComponentsOf(measure, components);
+  if (n == 0) return std::numeric_limits<double>::infinity();
+  const double first = Component(copy, components[0]);
+  return n == 2 ? std::max(first, Component(copy, components[1])) : first;
+}
+
 }  // namespace geosir::core

@@ -2,6 +2,8 @@
 #define GEOSIR_CORE_SIMILARITY_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 
 #include "geom/edge_grid.h"
 #include "geom/edge_soa.h"
@@ -92,6 +94,66 @@ double PartialDirectedHausdorff(const geom::Polyline& a,
 /// Symmetric partial Hausdorff.
 double PartialHausdorff(const geom::Polyline& a, const geom::Polyline& b,
                         double fraction);
+
+/// Which similarity measure ranks the candidates.
+enum class MatchMeasure {
+  /// max(h_avg(P, Q), h_avg(Q, P)) with the continuous average (default).
+  kContinuousSymmetric,
+  /// h_avg(P, Q): continuous average from the database shape to the query.
+  kContinuousDirected,
+  /// Vertex-based symmetric average.
+  kDiscreteSymmetric,
+  /// Vertex-based average from the database shape to the query.
+  kDiscreteDirected,
+};
+
+/// The four directed halves the ranking measures are composed from.
+/// Scoring (and memoizing) at this granularity lets the symmetric
+/// measures share work with their directed counterparts.
+enum class MeasureComponent : uint32_t {
+  kContinuousToQuery = 0,    // h_avg(copy, q)
+  kContinuousFromQuery = 1,  // h_avg(q, copy)
+  kDiscreteToQuery = 2,
+  kDiscreteFromQuery = 3,
+};
+
+/// The directed components `measure` is the max of (one or two), in
+/// to-query, from-query order. Returns how many were written.
+size_t ComponentsOf(MatchMeasure measure, MeasureComponent out[2]);
+
+/// A normalized query prepared once as the distance target of every
+/// database copy scored against it: an EdgeGrid over its boundary at
+/// >= grid_min_edges edges, a flat EdgeSoA below. Both answer every
+/// point-to-boundary distance with the canonical batch kernel arithmetic,
+/// so scores are bit-identical to the polyline overloads above and
+/// independent of which accelerator was built. Immutable once built, so
+/// concurrent scoring against one target is safe.
+class QueryTarget {
+ public:
+  QueryTarget(const geom::Polyline& query, const SimilarityOptions& options);
+
+  const geom::Polyline& query() const { return query_; }
+  const SimilarityOptions& options() const { return options_; }
+  bool has_grid() const { return grid_ != nullptr; }
+
+  /// Exact distance from `p` to the query boundary.
+  double Distance(geom::Point p) const {
+    return grid_ != nullptr ? grid_->Distance(p) : soa_->MinDistance(p);
+  }
+
+  /// One directed component of `copy` against the query.
+  double Component(const geom::Polyline& copy,
+                   MeasureComponent component) const;
+
+  /// `measure` of `copy` against the query: the max of its components.
+  double Score(const geom::Polyline& copy, MatchMeasure measure) const;
+
+ private:
+  geom::Polyline query_;
+  SimilarityOptions options_;
+  std::unique_ptr<geom::EdgeGrid> grid_;
+  std::unique_ptr<geom::EdgeSoA> soa_;
+};
 
 }  // namespace geosir::core
 

@@ -72,43 +72,19 @@ util::Result<std::vector<core::MatchResult>> GeoHashIndex::Query(
   }
 
   // Rank candidates per shape with the similarity measure.
+  const core::QueryTarget target(qnorm.shape, options_.similarity);
   std::unordered_map<core::ShapeId, core::MatchResult> best;
   for (const auto& [copy_idx, count] : candidates) {
     const core::NormalizedCopy& copy = base_->copy(copy_idx);
-    double d = 0.0;
-    switch (options_.measure) {
-      case core::MatchMeasure::kContinuousSymmetric:
-        d = core::AvgMinDistanceSymmetric(copy.shape, qnorm.shape,
-                                          options_.similarity);
-        break;
-      case core::MatchMeasure::kContinuousDirected:
-        d = core::AvgMinDistance(copy.shape, qnorm.shape, options_.similarity);
-        break;
-      case core::MatchMeasure::kDiscreteSymmetric:
-        d = std::max(core::DiscreteAvgMinDistance(copy.shape, qnorm.shape),
-                     core::DiscreteAvgMinDistance(qnorm.shape, copy.shape));
-        break;
-      case core::MatchMeasure::kDiscreteDirected:
-        d = core::DiscreteAvgMinDistance(copy.shape, qnorm.shape);
-        break;
-    }
-    auto [it, inserted] = best.try_emplace(
-        copy.shape_id, core::MatchResult{copy.shape_id, d, copy_idx});
-    if (!inserted && d < it->second.distance) {
-      it->second.distance = d;
-      it->second.copy_index = copy_idx;
-    }
+    core::FoldBest(
+        {copy.shape_id, target.Score(copy.shape, options_.measure), copy_idx},
+        &best);
   }
 
   std::vector<core::MatchResult> results;
   results.reserve(best.size());
   for (const auto& [id, r] : best) results.push_back(r);
-  std::sort(results.begin(), results.end(),
-            [](const core::MatchResult& a, const core::MatchResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.shape_id < b.shape_id;
-            });
-  if (results.size() > k) results.resize(k);
+  core::RankResults(&results, k);
   return results;
 }
 

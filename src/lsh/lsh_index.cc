@@ -102,15 +102,13 @@ LshIndex::LshIndex(LshOptions options) : options_(options) {
   }
   buckets_.resize(static_cast<size_t>(options_.tables) *
                   static_cast<size_t>(options_.bands));
-  if (options_.project) {
-    // One Gaussian direction per hash row, drawn after the offsets from
-    // the same stream so grid-mode layouts are unchanged.
-    const size_t hash_rows = static_cast<size_t>(options_.tables) *
-                             static_cast<size_t>(options_.bands) *
-                             static_cast<size_t>(options_.rows);
-    projections_.resize(hash_rows * features_);
-    for (double& a : projections_) a = NextGaussian(&state);
-  }
+  // One Gaussian direction per hash row, drawn after the offsets from the
+  // same stream.
+  const size_t hash_rows = static_cast<size_t>(options_.tables) *
+                           static_cast<size_t>(options_.bands) *
+                           static_cast<size_t>(options_.rows);
+  projections_.resize(hash_rows * features_);
+  for (double& a : projections_) a = NextGaussian(&state);
 }
 
 util::Result<std::unique_ptr<LshIndex>> LshIndex::Create(LshOptions options) {
@@ -126,10 +124,6 @@ util::Result<std::unique_ptr<LshIndex>> LshIndex::Create(LshOptions options) {
   if (!(options.quantum > 0.0) || !std::isfinite(options.quantum)) {
     return util::Status::InvalidArgument(
         "LshOptions.quantum must be positive and finite");
-  }
-  if (options.query_probes < 1 || options.query_probes > 64) {
-    return util::Status::InvalidArgument(
-        "LshOptions.query_probes must be in [1, 64]");
   }
   return std::unique_ptr<LshIndex>(new LshIndex(options));
 }
@@ -152,8 +146,6 @@ std::vector<uint64_t> LshIndex::BucketKeys(
     const geom::Polyline& normalized) const {
   const std::vector<double> sketch =
       ComputeSketch(normalized, options_.kind, samples_);
-  const size_t fps = FeaturesPerSample(options_.kind);
-  const size_t band_features = static_cast<size_t>(options_.rows) * fps;
   const size_t rows = static_cast<size_t>(options_.rows);
   std::vector<uint64_t> keys;
   keys.reserve(buckets_.size());
@@ -163,29 +155,19 @@ std::vector<uint64_t> LshIndex::BucketKeys(
       uint64_t h = MixKey(options_.seed,
                           (static_cast<uint64_t>(t) << 32) |
                               static_cast<uint64_t>(b));
-      if (options_.project) {
-        // p-stable rows: floor((a . sketch + offset) / w), one Gaussian
-        // direction per (table, band, row) over the full sketch.
-        const size_t row0 = (static_cast<size_t>(t) *
-                                 static_cast<size_t>(options_.bands) +
-                             static_cast<size_t>(b)) *
-                            rows;
-        for (size_t r = 0; r < rows; ++r) {
-          const double* a = &projections_[(row0 + r) * features_];
-          double dot = 0.0;
-          for (size_t f = 0; f < features_; ++f) dot += a[f] * sketch[f];
-          const double cell = std::floor(
-              (dot + off[static_cast<size_t>(b) * rows + r]) /
-              options_.quantum);
-          h = MixKey(h, static_cast<uint64_t>(static_cast<int64_t>(cell)));
-        }
-      } else {
-        const size_t base = static_cast<size_t>(b) * band_features;
-        for (size_t f = 0; f < band_features; ++f) {
-          const double cell =
-              std::floor((sketch[base + f] + off[base + f]) / options_.quantum);
-          h = MixKey(h, static_cast<uint64_t>(static_cast<int64_t>(cell)));
-        }
+      // p-stable rows: floor((a . sketch + offset) / w), one Gaussian
+      // direction per (table, band, row) over the full sketch.
+      const size_t row0 = (static_cast<size_t>(t) *
+                               static_cast<size_t>(options_.bands) +
+                           static_cast<size_t>(b)) *
+                          rows;
+      for (size_t r = 0; r < rows; ++r) {
+        const double* a = &projections_[(row0 + r) * features_];
+        double dot = 0.0;
+        for (size_t f = 0; f < features_; ++f) dot += a[f] * sketch[f];
+        const double cell = std::floor(
+            (dot + off[static_cast<size_t>(b) * rows + r]) / options_.quantum);
+        h = MixKey(h, static_cast<uint64_t>(static_cast<int64_t>(cell)));
       }
       keys.push_back(h);
     }
@@ -269,30 +251,7 @@ util::Status LshIndex::Query(const geom::Polyline& normalized_query,
   out->clear();
   QueryStats local;
 
-  // Probe shapes: the caller's normalized query, plus (query_probes > 1)
-  // the query re-normalized about its own alpha-diameters — the same
-  // copy family the base stores per shape, recovered here because
-  // normalization is a similarity transform. Each copy collides with the
-  // matching stored copy of a true instance near-independently, so the
-  // OR over probes compounds recall without widening the quantum.
-  std::vector<geom::Polyline> probe_shapes;
-  if (options_.query_probes > 1) {
-    core::Shape reshape;
-    reshape.boundary = normalized_query;
-    core::NormalizeOptions renorm;
-    renorm.max_axes =
-        (static_cast<size_t>(options_.query_probes) + 1) / 2;
-    auto copies = core::NormalizeShape(reshape, renorm);
-    if (copies.ok()) {
-      const size_t n = std::min(copies->size(),
-                                static_cast<size_t>(options_.query_probes));
-      probe_shapes.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        probe_shapes.push_back(std::move((*copies)[i].shape));
-      }
-    }
-  }
-  if (probe_shapes.empty()) probe_shapes.push_back(normalized_query);
+  const std::vector<uint64_t> keys = BucketKeys(normalized_query);
 
   // Collision counting. Ids are dense in every supported deployment
   // (copy indices of a finalized base, shape ids of the dynamic tier),
@@ -312,31 +271,25 @@ util::Status LshIndex::Query(const geom::Polyline& normalized_query,
       if (dense.size() <= max_id_) dense.resize(max_id_ + 1, 0);
       touched.reserve(256);
     }
-    for (const geom::Polyline& probe : probe_shapes) {
+    for (int t = 0; t < options_.tables; ++t) {
       stop = control.Check();
       if (!stop.ok()) break;
-      const std::vector<uint64_t> keys = BucketKeys(probe);
-      for (int t = 0; t < options_.tables && stop.ok(); ++t) {
-        stop = control.Check();
-        if (!stop.ok()) break;
-        for (int b = 0; b < options_.bands; ++b) {
-          const size_t slot = static_cast<size_t>(t) *
-                                  static_cast<size_t>(options_.bands) +
-                              static_cast<size_t>(b);
-          auto it = buckets_[slot].find(keys[slot]);
-          if (it == buckets_[slot].end()) continue;
-          ++local.buckets_probed;
-          if (use_dense) {
-            for (uint64_t id : it->second) {
-              if (dense[id]++ == 0) touched.push_back(id);
-            }
-          } else {
-            for (uint64_t id : it->second) ++sparse[id];
+      for (int b = 0; b < options_.bands; ++b) {
+        const size_t slot = static_cast<size_t>(t) *
+                                static_cast<size_t>(options_.bands) +
+                            static_cast<size_t>(b);
+        auto it = buckets_[slot].find(keys[slot]);
+        if (it == buckets_[slot].end()) continue;
+        ++local.buckets_probed;
+        if (use_dense) {
+          for (uint64_t id : it->second) {
+            if (dense[id]++ == 0) touched.push_back(id);
           }
+        } else {
+          for (uint64_t id : it->second) ++sparse[id];
         }
-        ++local.tables_probed;
       }
-      if (stop.ok()) ++local.probes;
+      ++local.tables_probed;
     }
   }
   // Rank by collision multiplicity (descending), ties by ascending id:

@@ -36,37 +36,14 @@ struct LshOptions {
   /// ~0.96; drop to 5 or 4 to trade milliseconds for the last points of
   /// recall (DESIGN.md section 14.2).
   int rows = 6;
-  /// Hash cell width. With `project` (the default) this is the p-stable
-  /// w: each row quantizes a Gaussian projection of the full sketch, so
-  /// calibrate against sketch-space L2 distances — jittered instances
-  /// sit at ||delta|| ~ 0.15 while distinct prototypes sit at ~1.5+
-  /// (measured, DESIGN.md section 14.2), and w between the two buys
-  /// near-perfect per-row agreement for true pairs at a per-row junk
-  /// rate of ~w/||Delta||. Without `project` it is the per-coordinate
-  /// grid width in normalized-lune units (~0.04 suits 1-1.5% jitter).
+  /// Hash cell width: the p-stable w. Each row quantizes a Gaussian
+  /// projection of the full sketch, so calibrate against sketch-space L2
+  /// distances — jittered instances sit at ||delta|| ~ 0.15 while
+  /// distinct prototypes sit at ~1.5+ (measured, DESIGN.md section 14.2),
+  /// and w between the two buys near-perfect per-row agreement for true
+  /// pairs at a per-row junk rate of ~w/||Delta||.
   double quantum = 0.5;
-  /// Hash rows are quantized Gaussian projections of the whole sketch
-  /// (p-stable LSH) rather than per-coordinate grid cells. Projections
-  /// decorrelate the structural similarity all boundary sketches share
-  /// (every canonical sketch starts near the origin and marches the
-  /// same lune), which is what makes grid buckets collide half the base
-  /// at recall-grade cell widths; in projection space cross-prototype
-  /// collisions are driven by the full L2 gap instead (DESIGN.md
-  /// section 14.2).
-  bool project = true;
   SketchKind kind = SketchKind::kVertexSample;
-  /// Normalized query copies probed per Query call. 1 probes only the
-  /// caller's normalized query; larger values re-normalize the query
-  /// about its own alpha-diameters (the same family of copies the base
-  /// stores per shape — normalization is a similarity, so
-  /// re-normalizing the normalized query reproduces the original's
-  /// copies) and OR the bucket probes. Helps only when sketch noise is
-  /// per-copy; on the jittered star-polygon workload the noise was
-  /// measured to be *correlated across copies* (normalization-frame
-  /// noise from the shared jittered vertices), so extra probes bought
-  /// ~3 points of recall for 8x the candidates — hence the default of
-  /// 1 (measured in EXPERIMENTS.md; DESIGN.md section 14.1).
-  int query_probes = 1;
   /// Seeds the per-table quantization offsets; the whole index layout is
   /// a pure function of (options, insertion sequence).
   uint64_t seed = 1;
@@ -90,8 +67,7 @@ struct LshOptions {
 class LshIndex {
  public:
   struct QueryStats {
-    size_t probes = 0;           // Query copies probed (<= query_probes).
-    size_t tables_probed = 0;    // Accumulated across probes.
+    size_t tables_probed = 0;
     size_t buckets_probed = 0;   // Non-empty buckets read.
     size_t candidates = 0;       // Distinct ids emitted.
     bool truncated = false;      // max_candidates cut the ranked list.
@@ -141,12 +117,12 @@ class LshIndex {
   LshOptions options_;
   size_t samples_ = 0;
   size_t features_ = 0;  // samples_ * FeaturesPerSample(kind).
-  /// Per-table quantization offsets in [0, quantum), tables * features_.
-  /// Projection mode uses the first bands * rows entries of each table's
-  /// stripe (one offset per hash row).
+  /// Per-table quantization offsets in [0, quantum), tables * features_
+  /// drawn; the first bands * rows entries of each table's stripe are
+  /// used (one offset per hash row).
   std::vector<double> offsets_;
-  /// Gaussian projection directions (project mode): one features_-dim
-  /// vector per (table, band, row), seed-deterministic.
+  /// Gaussian projection directions: one features_-dim vector per
+  /// (table, band, row), seed-deterministic.
   std::vector<double> projections_;
 
   mutable std::shared_mutex mutex_;

@@ -107,8 +107,6 @@ const char* SketchKindName(SketchKind kind) {
       return "vertex_sample";
     case SketchKind::kTurningFunction:
       return "turning_function";
-    case SketchKind::kEdgeSample:
-      return "edge_sample";
   }
   return "unknown";
 }
@@ -142,34 +140,6 @@ std::vector<double> ComputeSketch(const geom::Polyline& normalized,
     for (const geom::Point& p : SampleBoundary(normalized, samples)) {
       features.push_back(p.x);
       features.push_back(p.y);
-    }
-    return features;
-  }
-  if (kind == SketchKind::kEdgeSample) {
-    // Drift-free placement: sample k sits at edge-index position
-    // k * E / samples, so its coordinates are a function of one edge's
-    // endpoints only (see sketch.h).
-    const std::vector<geom::Point> v = CanonicalVertices(normalized);
-    std::vector<double> features(2 * samples, 0.0);
-    if (v.empty() || samples == 0) return features;
-    const size_t n = v.size();
-    const size_t edges = n < 2 ? 0 : (normalized.closed() ? n : n - 1);
-    if (edges == 0) {
-      for (size_t j = 0; j < samples; ++j) {
-        features[2 * j] = v.front().x;
-        features[2 * j + 1] = v.front().y;
-      }
-      return features;
-    }
-    for (size_t j = 0; j < samples; ++j) {
-      const double t = static_cast<double>(j) * static_cast<double>(edges) /
-                       static_cast<double>(samples);
-      size_t e = std::min(static_cast<size_t>(t), edges - 1);
-      const double f = t - static_cast<double>(e);
-      const geom::Point a = v[e];
-      const geom::Point b = v[(e + 1) % n];
-      features[2 * j] = a.x + f * (b.x - a.x);
-      features[2 * j + 1] = a.y + f * (b.y - a.y);
     }
     return features;
   }

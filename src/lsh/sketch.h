@@ -20,18 +20,6 @@ enum class SketchKind {
   /// (one feature per sample), after Arkin et al.'s turning function.
   /// Less sensitive to where mass sits, more sensitive to corner layout.
   kTurningFunction,
-  /// Interleaved (x, y) coordinates of samples placed by *edge index
-  /// fraction* (sample k of S sits on edge floor(k E / S) at fraction
-  /// frac(k E / S)) instead of by arc length, so a sample's position
-  /// depends only on its own edge's two endpoints and arc-length drift
-  /// cannot accumulate. Measured against kVertexSample on the jittered
-  /// workload the per-feature noise is equivalent (p50/p90/p99 within a
-  /// few percent — normalization-frame noise dominates both; see
-  /// EXPERIMENTS.md), so this kind earns its keep only on inputs with
-  /// strongly non-uniform vertex spacing. Only same-vertex-count shapes
-  /// sample the same boundary points; different tessellations of the
-  /// same geometry hash apart.
-  kEdgeSample,
 };
 
 const char* SketchKindName(SketchKind kind);

@@ -113,6 +113,56 @@ TEST(DynamicShapeBaseTest, TombstoneCompactionReclaims) {
   EXPECT_EQ(base.NumLive(), 50u);
 }
 
+TEST(DynamicShapeBaseTest, DeltaAndMainScoringAgreeBitForBit) {
+  // Delta shapes are scored over their cached normalized copies, compacted
+  // ones over the main base's pooled copies, and Match reads the
+  // matcher's memo; all three score against one query target, so every
+  // distance must agree exactly, for every measure.
+  util::Rng rng(7);
+  workload::PolygonGenOptions gen;
+  std::vector<Polyline> shapes;
+  for (int i = 0; i < 12; ++i) shapes.push_back(RandomStarPolygon(&rng, gen));
+  const Polyline query = workload::JitterVertices(shapes[5], 0.01, &rng);
+  for (MatchMeasure measure :
+       {MatchMeasure::kContinuousSymmetric, MatchMeasure::kContinuousDirected,
+        MatchMeasure::kDiscreteSymmetric, MatchMeasure::kDiscreteDirected}) {
+    SCOPED_TRACE(static_cast<int>(measure));
+    DynamicShapeBase::Options options;
+    options.match.measure = measure;
+    DynamicShapeBase base(options);
+    std::vector<uint64_t> ids;
+    for (const Polyline& shape : shapes) {
+      auto id = base.Insert(shape);
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    ASSERT_EQ(base.NumDelta(), shapes.size());  // Below min_compaction_size.
+    auto delta = base.MatchIds(ids, query, ids.size());
+    ASSERT_TRUE(delta.ok());
+    auto delta_top = base.Match(query, 1);
+    ASSERT_TRUE(delta_top.ok());
+    ASSERT_EQ(delta_top->size(), 1u);
+    EXPECT_EQ((*delta_top)[0], delta->front());
+
+    ASSERT_TRUE(base.Compact().ok());
+    ASSERT_EQ(base.NumDelta(), 0u);
+    auto main = base.MatchIds(ids, query, ids.size());
+    ASSERT_TRUE(main.ok());
+    ASSERT_EQ(delta->size(), ids.size());
+    ASSERT_EQ(main->size(), ids.size());
+    std::map<uint64_t, double> main_distance;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ((*main)[i].first, (*delta)[i].first) << i;
+      EXPECT_EQ((*main)[i].second, (*delta)[i].second) << i;
+      main_distance[(*main)[i].first] = (*main)[i].second;
+    }
+    auto top = base.Match(query, 1);
+    ASSERT_TRUE(top.ok());
+    ASSERT_EQ(top->size(), 1u);
+    EXPECT_EQ((*top)[0].second, main_distance.at((*top)[0].first));
+  }
+}
+
 TEST(DynamicShapeBaseTest, MixedWorkloadMatchesSnapshotSemantics) {
   // Interleave inserts/deletes/queries; after the dust settles, the
   // dynamic base must return exactly what a freshly-built static base

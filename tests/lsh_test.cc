@@ -71,8 +71,7 @@ TEST(SketchTest, CanonicalStartSurvivesVertexRelabeling) {
                 base.vertices().begin() + 3);
   std::vector<Point> reversed(rolled.rbegin(), rolled.rend());
 
-  for (auto kind : {SketchKind::kVertexSample, SketchKind::kTurningFunction,
-                    SketchKind::kEdgeSample}) {
+  for (auto kind : {SketchKind::kVertexSample, SketchKind::kTurningFunction}) {
     const auto s0 = ComputeSketch(base, kind, 16);
     const auto s1 = ComputeSketch(Polyline::Closed(rolled), kind, 16);
     ASSERT_EQ(s0.size(), s1.size()) << SketchKindName(kind);
@@ -94,27 +93,8 @@ TEST(SketchTest, SketchSizesMatchKind) {
   const Polyline p = Normalized(RegularPolygon(7, 1.0));
   EXPECT_EQ(ComputeSketch(p, SketchKind::kVertexSample, 12).size(), 24u);
   EXPECT_EQ(ComputeSketch(p, SketchKind::kTurningFunction, 12).size(), 12u);
-  EXPECT_EQ(ComputeSketch(p, SketchKind::kEdgeSample, 12).size(), 24u);
   EXPECT_EQ(FeaturesPerSample(SketchKind::kVertexSample), 2u);
   EXPECT_EQ(FeaturesPerSample(SketchKind::kTurningFunction), 1u);
-  EXPECT_EQ(FeaturesPerSample(SketchKind::kEdgeSample), 2u);
-}
-
-TEST(SketchTest, EdgeSampleStaysCloseUnderJitter) {
-  // The locality property holds for edge-index placement too: each
-  // sample depends only on its own edge's endpoints, so perturbing
-  // vertices by `sigma` moves features by O(sigma) plus the shared
-  // normalization-frame noise.
-  util::Rng rng(11);
-  const Polyline proto = RegularPolygon(10, 1.0);
-  const auto s0 =
-      ComputeSketch(Normalized(proto), SketchKind::kEdgeSample, 16);
-  const auto s1 = ComputeSketch(Normalized(Jitter(proto, &rng, 0.01)),
-                                SketchKind::kEdgeSample, 16);
-  ASSERT_EQ(s0.size(), s1.size());
-  for (size_t i = 0; i < s0.size(); ++i) {
-    EXPECT_LT(std::fabs(s0[i] - s1[i]), 0.08) << "i=" << i;
-  }
 }
 
 TEST(SketchTest, JitteredInstanceStaysClose) {
@@ -283,33 +263,6 @@ TEST(LshIndexTest, RecallOnJitteredInstances) {
   EXPECT_GT(double(hits) / double(want), 0.9) << hits << "/" << want;
 }
 
-TEST(LshIndexTest, GridModeStillRetrieves) {
-  // The per-coordinate grid scheme (project = false) stays supported as
-  // the documented baseline: on a small base it must still surface a
-  // jittered instance of an indexed prototype, deterministically.
-  LshOptions options;
-  options.project = false;
-  options.quantum = 0.04;  // Grid cells sized for ~1% jitter.
-  auto a = LshIndex::Create(options);
-  auto b = LshIndex::Create(options);
-  ASSERT_TRUE(a.ok() && b.ok());
-  util::Rng rng(23);
-  std::vector<Polyline> protos;
-  for (int p = 0; p < 6; ++p) protos.push_back(StarPolygon(8 + p, &rng));
-  for (uint64_t id = 0; id < 6; ++id) {
-    const Polyline inst = Normalized(Jitter(protos[id], &rng, 0.006));
-    (*a)->Insert(id, inst);
-    (*b)->Insert(id, inst);
-  }
-  const Polyline q = Normalized(Jitter(protos[2], &rng, 0.006));
-  std::vector<uint64_t> ra, rb;
-  ASSERT_TRUE((*a)->Query(q, 0, {}, &ra, nullptr).ok());
-  ASSERT_TRUE((*b)->Query(q, 0, {}, &rb, nullptr).ok());
-  EXPECT_EQ(ra, rb);
-  ASSERT_FALSE(ra.empty());
-  EXPECT_EQ(ra.front(), 2u);
-}
-
 TEST(LshIndexTest, SparseIdsMatchDenseCounting) {
   // Query counts collisions in a flat array when ids are small and falls
   // back to a hash map for sparse id spaces; the two paths must produce
@@ -340,30 +293,6 @@ TEST(LshIndexTest, SparseIdsMatchDenseCounting) {
   }
   EXPECT_EQ(sd.candidates, ss.candidates);
   EXPECT_EQ(sd.buckets_probed, ss.buckets_probed);
-}
-
-TEST(LshIndexTest, EdgeSampleKindRetrieves) {
-  // The alternative feature family plugs into the same tables: a
-  // kEdgeSample index must surface jittered instances just like the
-  // default kind does on a small base.
-  LshOptions options;
-  options.kind = SketchKind::kEdgeSample;
-  auto index = LshIndex::Create(options);
-  ASSERT_TRUE(index.ok());
-  util::Rng rng(31);
-  std::vector<Polyline> protos;
-  for (int p = 0; p < 6; ++p) protos.push_back(StarPolygon(9 + p, &rng));
-  for (uint64_t id = 0; id < 6; ++id) {
-    (*index)->Insert(id, Normalized(Jitter(protos[id], &rng, 0.006)));
-  }
-  std::vector<uint64_t> out;
-  ASSERT_TRUE(
-      (*index)
-          ->Query(Normalized(Jitter(protos[4], &rng, 0.006)), 0, {}, &out,
-                  nullptr)
-          .ok());
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out.front(), 4u);
 }
 
 // --- CandidateSource contract ------------------------------------------

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_source.h"
 #include "core/dynamic_shape_base.h"
 #include "core/envelope_matcher.h"
 #include "core/shape_base.h"
@@ -214,6 +215,22 @@ TEST_F(QueryLifecycleTest, ExpiredDeadlineAtEntryDoesZeroWork) {
   EXPECT_EQ(stats.candidates_evaluated, 0u);
   EXPECT_FALSE(stats.partial);
   EXPECT_EQ(stats.termination.code(), util::StatusCode::kDeadlineExceeded);
+
+  // k = 0 outside collect mode fails the shared entry validation on
+  // every ranking entry point; collect mode ignores k.
+  MatchOptions zero_k;
+  zero_k.k = 0;
+  const Polyline& query = fixture_->queries[0];
+  EXPECT_EQ(matcher.Match(query, zero_k).status().code(),
+            util::StatusCode::kInvalidArgument);
+  core::ExactEnumerationSource source(fixture_->base.get());
+  EXPECT_EQ(matcher.MatchCandidates(query, &source, zero_k).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(core::MatchBatch(*fixture_->base, {query}, zero_k).status().code(),
+            util::StatusCode::kInvalidArgument);
+  zero_k.collect_threshold = 0.05;
+  EXPECT_TRUE(matcher.Match(query, zero_k).ok());
+  EXPECT_TRUE(matcher.MatchCandidates(query, &source, zero_k).ok());
 }
 
 TEST_F(QueryLifecycleTest, PreCancelledTokenPropagatesReason) {
@@ -591,6 +608,19 @@ TEST(DynamicLifecycleTest, ControlsApplyToMainAndDelta) {
   ASSERT_TRUE(clean.ok());
   EXPECT_FALSE(clean->empty());
   EXPECT_FALSE(stats.partial);
+
+  // k = 0 is rejected by every entry point, with a main base and without
+  // one (a base still below its first compaction).
+  core::DynamicShapeBase delta_only(options);
+  ASSERT_TRUE(delta_only.Insert(prototypes[0]).ok());
+  for (core::DynamicShapeBase* base : {&dynamic, &delta_only}) {
+    EXPECT_EQ(base->Match(query, 0).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(base->MatchBatch({query}, 0).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(base->MatchIds(base->LiveIds(), query, 0).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------------------------------------------------------------------
