@@ -1,10 +1,11 @@
 // Tiered retrieval (DESIGN.md section 14): the approximate LSH pre-filter
-// against exact envelope search and the geometric-hashing tier, all
+// against envelope search, the geometric-hashing tier and the exact tier
+// (every copy through the verifier, which is also the ground truth), all
 // behind the shared CandidateSource seam. Reports per tier:
-//   - recall@10 against exact envelope ground truth,
+//   - recall@10 against the exact tier's ranking,
 //   - candidate-set size (what the exact verifier must score),
 //   - candidate-generation latency alone (the pre-filter probe),
-//   - end-to-end latency (generation + exact verification).
+//   - end-to-end latency, mean and p50 (generation + exact verification).
 // Scale with GEOSIR_BENCH_SHAPES (default 2000 for CI smoke; the
 // committed BENCH_lsh_retrieval.jsonl rows run 100000) and
 // GEOSIR_BENCH_QUERIES.
@@ -42,8 +43,21 @@ struct TierOutcome {
   double recall_sum = 0.0;
   double candidates_sum = 0.0;
   double gen_ms_sum = 0.0;
-  double e2e_ms_sum = 0.0;
-  size_t queries = 0;
+  std::vector<double> e2e_ms;  // One sample per query.
+
+  double E2eMean() const {
+    double sum = 0.0;
+    for (double ms : e2e_ms) sum += ms;
+    return e2e_ms.empty() ? 0.0 : sum / static_cast<double>(e2e_ms.size());
+  }
+  double E2eP50() const {
+    if (e2e_ms.empty()) return 0.0;
+    std::vector<double> sorted = e2e_ms;
+    std::sort(sorted.begin(), sorted.end());
+    const size_t mid = sorted.size() / 2;
+    return sorted.size() % 2 == 1 ? sorted[mid]
+                                  : 0.5 * (sorted[mid - 1] + sorted[mid]);
+  }
 };
 
 double Recall(const std::vector<geosir::core::MatchResult>& got,
@@ -62,17 +76,18 @@ double Recall(const std::vector<geosir::core::MatchResult>& got,
 }
 
 void EmitRow(const TierOutcome& o, size_t shapes, double envelope_ms_mean) {
-  const double n = o.queries > 0 ? static_cast<double>(o.queries) : 1.0;
-  const double e2e_mean = o.e2e_ms_sum / n;
+  const double n = std::max<double>(1.0, static_cast<double>(o.e2e_ms.size()));
+  const double e2e_mean = o.E2eMean();
   JsonLine("lsh_retrieval")
       .Str("tier", o.tier)
       .Int("shapes", static_cast<long long>(shapes))
-      .Int("queries", static_cast<long long>(o.queries))
+      .Int("queries", static_cast<long long>(o.e2e_ms.size()))
       .Int("k", static_cast<long long>(kTopK))
       .Num("recall_at_k", o.recall_sum / n)
       .Num("candidates_mean", o.candidates_sum / n)
       .Num("candgen_ms_mean", o.gen_ms_sum / n)
       .Num("e2e_ms_mean", e2e_mean)
+      .Num("e2e_ms_p50", o.E2eP50())
       .Num("build_ms", o.build_ms)
       .Num("speedup_vs_envelope",
            e2e_mean > 0.0 ? envelope_ms_mean / e2e_mean : 0.0)
@@ -140,24 +155,31 @@ int main() {
   match_options.k = kTopK;
   match_options.measure = geosir::core::MatchMeasure::kDiscreteSymmetric;
 
-  // Ground truth: brute-force exact ranking (every copy scored under
-  // options.measure via the exhaustive CandidateSource). NOT the envelope
-  // search — its max_epsilon bound A / (2 p l_Q) * log^3 n shrinks as the
-  // base densifies, and above ~10^4 shapes of this workload it drops
-  // below the jitter amplitude, so the envelope admits almost nothing and
-  // its result list stops being a usable reference. The envelope tier
-  // below is scored against this truth like the others, which makes that
-  // density cliff visible in its recall column.
+  // Ground truth and the exact tier in one timed pass: brute-force
+  // ranking (every copy verified under options.measure via the exhaustive
+  // CandidateSource). NOT the envelope search — its max_epsilon bound
+  // A / (2 p l_Q) * log^3 n shrinks as the base densifies, and above
+  // ~10^4 shapes of this workload it drops below the jitter amplitude, so
+  // the envelope admits almost nothing and its result list stops being a
+  // usable reference. The envelope tier below is scored against this
+  // truth like the others, which makes that density cliff visible in its
+  // recall column.
   std::vector<std::vector<geosir::core::MatchResult>> truth(n_queries);
+  TierOutcome exact;
+  exact.tier = "exact";
   {
     geosir::core::ExactEnumerationSource exhaustive(&base);
     geosir::core::EnvelopeMatcher matcher(&base);
     std::printf("computing brute-force ground truth...\n");
     for (size_t q = 0; q < n_queries; ++q) {
+      Timer t;
       auto results =
           matcher.MatchCandidates(queries[q], &exhaustive, match_options);
+      exact.e2e_ms.push_back(t.Millis());
       if (!results.ok()) return 1;
       truth[q] = *std::move(results);
+      exact.candidates_sum += static_cast<double>(base.NumCopies());
+      exact.recall_sum += 1.0;
     }
   }
 
@@ -170,16 +192,14 @@ int main() {
       geosir::core::MatchStats stats;
       Timer t;
       auto results = matcher.Match(queries[q], match_options, &stats);
-      envelope.e2e_ms_sum += t.Millis();
+      envelope.e2e_ms.push_back(t.Millis());
       if (!results.ok()) return 1;
       envelope.candidates_sum +=
           static_cast<double>(stats.candidates_evaluated);
       envelope.recall_sum += Recall(*results, truth[q]);
-      ++envelope.queries;
     }
   }
-  const double envelope_ms_mean =
-      envelope.e2e_ms_sum / std::max<size_t>(1, envelope.queries);
+  const double envelope_ms_mean = envelope.E2eMean();
 
   // --- Tier 1: LSH pre-filter -> exact verification. -------------------
   TierOutcome lsh;
@@ -224,10 +244,9 @@ int main() {
       Timer t;
       auto results =
           matcher.MatchCandidates(queries[q], source->get(), match_options);
-      lsh.e2e_ms_sum += t.Millis();
+      lsh.e2e_ms.push_back(t.Millis());
       if (!results.ok()) return 1;
       lsh.recall_sum += Recall(*results, truth[q]);
-      ++lsh.queries;
     }
   }
 
@@ -259,26 +278,25 @@ int main() {
       Timer t;
       auto results =
           matcher.MatchCandidates(queries[q], &source, match_options);
-      geohash.e2e_ms_sum += t.Millis();
+      geohash.e2e_ms.push_back(t.Millis());
       if (!results.ok()) return 1;
       geohash.recall_sum += Recall(*results, truth[q]);
-      ++geohash.queries;
     }
   }
 
   std::printf("=== Tiered retrieval at %zu shapes (%zu queries, k=%zu) ===\n",
               base.NumShapes(), n_queries, kTopK);
   Table table({"tier", "build_ms", "recall@10", "cand/query", "candgen_ms",
-               "e2e_ms", "speedup"});
-  for (const TierOutcome* o : {&envelope, &lsh, &geohash}) {
-    const double n = std::max<size_t>(1, o->queries);
+               "e2e_ms", "e2e_p50_ms", "speedup"});
+  for (const TierOutcome* o : {&envelope, &lsh, &geohash, &exact}) {
+    const double n = std::max<size_t>(1, o->e2e_ms.size());
     table.AddRow({o->tier, Fmt("%.0f", o->build_ms),
                   Fmt("%.3f", o->recall_sum / n),
                   Fmt("%.0f", o->candidates_sum / n),
                   Fmt("%.3f", o->gen_ms_sum / n),
-                  Fmt("%.2f", o->e2e_ms_sum / n),
-                  Fmt("%.2fx", o->e2e_ms_sum > 0.0
-                                   ? envelope.e2e_ms_sum / o->e2e_ms_sum
+                  Fmt("%.2f", o->E2eMean()), Fmt("%.2f", o->E2eP50()),
+                  Fmt("%.2fx", o->E2eMean() > 0.0
+                                   ? envelope_ms_mean / o->E2eMean()
                                    : 0.0)});
     EmitRow(*o, base.NumShapes(), envelope_ms_mean);
   }

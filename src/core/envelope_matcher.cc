@@ -36,6 +36,7 @@ struct MatcherMetrics {
   obs::Counter* vertices_accepted;
   obs::Counter* candidates;
   obs::Counter* candidates_skipped;
+  obs::Counter* candidates_abandoned;
   obs::Counter* eval_cache_hits;
   obs::Counter* partials;
   obs::Counter* degraded;
@@ -70,6 +71,9 @@ struct MatcherMetrics {
       m->candidates_skipped =
           r.GetCounter("geosir_matcher_candidates_skipped_total",
                        "Qualifying copies never scored (query was stopping)");
+      m->candidates_abandoned = r.GetCounter(
+          "geosir_matcher_candidates_abandoned_total",
+          "Candidates the verifier dropped on a partial score");
       m->eval_cache_hits =
           r.GetCounter("geosir_matcher_eval_cache_hits_total",
                        "Similarity components served from the per-query memo");
@@ -140,6 +144,56 @@ util::ThreadPool* ResolvePool(const MatchOptions& options) {
   return options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
 }
 
+/// The abandoning threshold of one MatchCandidates call (DESIGN.md
+/// section 14.3). A candidate may be dropped once its score provably
+/// exceeds For(its shape): min(limit, that shape's best so far), where
+/// the limit is collect_threshold in collect mode and otherwise the k-th
+/// smallest best among the distinct shapes verified so far. Per shape,
+/// never per copy: k copies of one shape must not stand in for k shapes.
+/// Only the calling thread records scores, in candidate order.
+class AbandonBound {
+ public:
+  /// `shape_best` holds +inf for every shape and is updated in place; the
+  /// caller resets the entries of the shapes it folded.
+  AbandonBound(const MatchOptions& options, std::vector<double>* shape_best)
+      : shape_best_(*shape_best),
+        k_(options.k),
+        // A k at or above the shape count never fills: nothing to track.
+        track_kth_(options.collect_threshold <= 0.0 && k_ < shape_best->size()),
+        limit_(options.collect_threshold > 0.0
+                   ? options.collect_threshold
+                   : std::numeric_limits<double>::infinity()) {}
+
+  double For(ShapeId id) const { return std::min(limit_, shape_best_[id]); }
+
+  /// Records a verified (unabandoned) score of a copy of shape `id`.
+  void Record(ShapeId id, double distance) {
+    double& best = shape_best_[id];
+    if (!(distance < best)) return;
+    if (track_kth_) {
+      // kth_ holds the k smallest per-shape bests, sorted. A shape whose
+      // old best was among them trades it for the new one; otherwise the
+      // new best enters and the largest drops out. (On a tie at the k-th
+      // value either choice leaves the same values.)
+      if (std::isfinite(best) && best <= limit_) {
+        kth_.erase(std::lower_bound(kth_.begin(), kth_.end(), best));
+      }
+      kth_.insert(std::upper_bound(kth_.begin(), kth_.end(), distance),
+                  distance);
+      if (kth_.size() > k_) kth_.pop_back();
+      if (kth_.size() == k_) limit_ = kth_.back();
+    }
+    best = distance;
+  }
+
+ private:
+  std::vector<double>& shape_best_;
+  const size_t k_;
+  const bool track_kth_;
+  double limit_;
+  std::vector<double> kth_;
+};
+
 }  // namespace
 
 /// One Match or MatchCandidates call: its stats sink, its lifecycle
@@ -178,6 +232,7 @@ struct EnvelopeMatcher::Call {
     metrics.vertices_accepted->Inc(st.vertices_accepted);
     metrics.candidates->Inc(st.candidates_evaluated);
     metrics.candidates_skipped->Inc(st.candidates_skipped);
+    metrics.candidates_abandoned->Inc(st.candidates_abandoned);
     metrics.eval_cache_hits->Inc(st.eval_cache_hits);
     if (st.partial) metrics.partials->Inc();
     if (st.degraded) metrics.degraded->Inc();
@@ -250,6 +305,8 @@ EnvelopeMatcher::EnvelopeMatcher(const ShapeBase* base) : base_(base) {
   copy_epoch_.assign(base_->NumCopies(), 0);
   copy_touch_iter_.assign(base_->NumCopies(), 0);
   copy_evaluated_.assign(base_->NumCopies(), 0);
+  shape_best_.assign(base_->NumShapes(),
+                     std::numeric_limits<double>::infinity());
 }
 
 void EnvelopeMatcher::PrepareQueryCache(const Polyline& q,
@@ -402,8 +459,14 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   st.initial_epsilon = eps1;
   st.max_epsilon = eps_max;
 
-  // Fresh epoch; all per-copy/per-vertex scratch self-invalidates.
-  ++epoch_;
+  // Fresh epoch; all per-copy/per-vertex scratch self-invalidates. On
+  // wrap-around the stamps of the last cycle would alias (and 0, their
+  // initial value, would read as "counted"), so clear them first.
+  if (++epoch_ == 0) {
+    std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0);
+    std::fill(copy_epoch_.begin(), copy_epoch_.end(), 0);
+    epoch_ = 1;
+  }
 
   // Snapshot the index's fault counters so this query's degradation (an
   // external backend skipping unreadable subtrees) can be reported in the
@@ -695,23 +758,61 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
 
   // Tier 2: exact verification under options.measure, in source
   // preference order, chunked so deadline / cancel are observed between
-  // chunks without a per-candidate poll.
-  constexpr size_t kChunk = 64;
+  // chunks without a per-candidate poll. Each candidate is verified
+  // against the abandoning bound (DESIGN.md section 14.3). Serially the
+  // bound tightens after every candidate; on the pool it is read-only
+  // while a chunk fans out and tightens in the merge, in candidate order
+  // on this thread, so only the work abandoned depends on the schedule.
+  // Pool chunks are larger so one fork-join spans ~1k candidates, most of
+  // them abandoned after a few vertices.
+  util::ThreadPool* pool = ResolvePool(options);
+  const size_t slots = pool != nullptr ? pool->MaxSlots(options.num_threads) : 1;
+  const size_t chunk_size = pool != nullptr ? 1024 : 64;
+  if (edge_scratch_.size() < slots) edge_scratch_.resize(slots);
   std::unordered_map<ShapeId, MatchResult> best_per_shape;
+  AbandonBound bound(options, &shape_best_);
+  const auto verify = [&](size_t worker, uint32_t c) {
+    const NormalizedCopy& copy = base_->copy(c);
+    return target_->BoundedScore(copy.shape, options.measure,
+                                 bound.For(copy.shape_id),
+                                 &edge_scratch_[worker]);
+  };
+  const auto fold = [&](uint32_t c, const std::optional<double>& distance) {
+    if (!distance) {
+      ++st.candidates_abandoned;
+      return;
+    }
+    const ShapeId id = base_->copy(c).shape_id;
+    FoldBest({id, *distance, c}, &best_per_shape);
+    bound.Record(id, *distance);
+  };
   util::Status hard_stop;
-  for (size_t begin = 0; begin < candidates.size(); begin += kChunk) {
+  for (size_t begin = 0; begin < candidates.size(); begin += chunk_size) {
     hard_stop = call.control.Check();
     if (!hard_stop.ok()) {
       st.candidates_skipped += candidates.size() - begin;
       break;
     }
     const std::span<const uint32_t> chunk(
-        candidates.data() + begin, std::min(kChunk, candidates.size() - begin));
-    ScoreCandidates(chunk, options, &st, &best_per_shape);
+        candidates.data() + begin,
+        std::min(chunk_size, candidates.size() - begin));
+    if (pool != nullptr && chunk.size() > 1) {
+      verified_.resize(chunk.size());
+      pool->ParallelFor(chunk.size(), options.num_threads,
+                        [&](size_t worker, size_t i) {
+                          verified_[i] = verify(worker, chunk[i]);
+                        });
+      for (size_t i = 0; i < chunk.size(); ++i) fold(chunk[i], verified_[i]);
+    } else {
+      for (uint32_t c : chunk) fold(c, verify(0, c));
+    }
     st.candidates_evaluated += chunk.size();
     if (trace != nullptr) {
       trace->insert(trace->end(), chunk.begin(), chunk.end());
     }
+  }
+  for (const auto& [id, result] : best_per_shape) {
+    shape_best_[id] = std::numeric_limits<double>::infinity();
   }
 
   // A fully scored candidate set — even an approximate one — is a

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -62,12 +63,17 @@ class EnvelopeMatcher {
   /// brute-force ranking under options.measure; with an approximate
   /// source (LSH, hash curves) recall is the source's.
   ///
+  /// Verification abandons, for the discrete measures, every candidate
+  /// whose partial score already exceeds min(k-th best distinct shape so
+  /// far, its shape's best so far) — or collect_threshold in collect
+  /// mode — so rankings, distances and copy indices equal full scoring
+  /// bit for bit (DESIGN.md section 14.3). No per-query memo: sources
+  /// emit each copy once.
+  ///
   /// Lifecycle mirrors Match: options.budget.max_candidates caps the
   /// candidate set at generation (a deterministic truncation, reported as
   /// a kResourceExhausted partial); deadline / cancel stop generation and
-  /// scoring cooperatively with the same partial-result contract. The
-  /// per-query memo is shared with Match, so mixing entry points on one
-  /// matcher instance never re-scores a copy.
+  /// scoring cooperatively with the same partial-result contract.
   util::Result<std::vector<MatchResult>> MatchCandidates(
       const geom::Polyline& query, CandidateSource* source,
       const MatchOptions& options = {}, MatchStats* stats = nullptr,
@@ -94,9 +100,12 @@ class EnvelopeMatcher {
                        const MatchOptions& options, MatchStats* stats,
                        std::unordered_map<ShapeId, MatchResult>* best);
 
+  friend class EnvelopeMatcherTestPeer;
+
   const ShapeBase* base_;
 
-  // Epoch-stamped scratch (valid when stamp == epoch_).
+  // Epoch-stamped scratch (valid when stamp == epoch_). Match zeroes the
+  // stamps and restarts at 1 when the epoch wraps.
   uint32_t epoch_ = 0;
   std::vector<uint32_t> vertex_epoch_;    // Vertex already counted.
   std::vector<uint32_t> copy_count_;      // In-envelope vertices per copy.
@@ -120,6 +129,13 @@ class EnvelopeMatcher {
   std::vector<uint64_t> missing_keys_;
   std::vector<uint32_t> missing_slots_;
   std::vector<double> missing_values_;
+
+  // MatchCandidates scratch: each shape's best verified distance in the
+  // current call (+inf when unseen; reset at exit), one edge store per
+  // pool slot for the from-query direction, and a chunk's verdicts.
+  std::vector<double> shape_best_;
+  std::vector<geom::EdgeSoA> edge_scratch_;
+  std::vector<std::optional<double>> verified_;
 };
 
 /// Runs independent queries concurrently across the pool configured in

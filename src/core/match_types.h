@@ -126,9 +126,17 @@ struct MatchStats {
   size_t vertices_reported = 0;   // Reported by the range structure.
   size_t vertices_accepted = 0;   // Passed the exact ring test.
   size_t candidates_evaluated = 0;
-  /// Similarity-measure components answered by the per-query memo cache
-  /// instead of being recomputed (symmetric measures share their directed
-  /// halves; repeated Match calls on the same query reuse everything).
+  /// Of candidates_evaluated, the MatchCandidates candidates the
+  /// early-abandoning verifier dropped once a partial sum proved they
+  /// could not change the answer (discrete measures only; DESIGN.md
+  /// section 14.3). How many are dropped may depend on the schedule; the
+  /// ranking never does.
+  size_t candidates_abandoned = 0;
+  /// Similarity-measure components answered by Match's per-query memo
+  /// cache instead of being recomputed (symmetric measures share their
+  /// directed halves; repeated Match calls on the same query reuse
+  /// everything). MatchCandidates keeps no memo: sources emit each copy
+  /// once.
   size_t eval_cache_hits = 0;
   double final_epsilon = 0.0;
   double initial_epsilon = 0.0;

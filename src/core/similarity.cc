@@ -64,6 +64,24 @@ double DiscreteAvgMinDistanceImpl(const Polyline& a,
   return sum / static_cast<double>(a.size());
 }
 
+/// The discrete average of distance(p) over `points`, adding the terms in
+/// order — or nullopt as soon as the partial sum divided by the same
+/// count exceeds `threshold`. The terms are non-negative, so each partial
+/// quotient is a lower bound on the final one in floating point too.
+template <typename DistanceFn>
+std::optional<double> AbandoningAverage(const std::vector<geom::Point>& points,
+                                        const DistanceFn& distance,
+                                        double threshold) {
+  if (points.empty()) return 0.0;
+  const double n = static_cast<double>(points.size());
+  double sum = 0.0;
+  for (geom::Point p : points) {
+    sum += distance(p);
+    if (sum / n > threshold) return std::nullopt;
+  }
+  return sum / n;
+}
+
 /// All of A's vertex min-distances to B in one batched kernel call.
 std::vector<double> VertexMinDistances(const Polyline& a,
                                        const geom::EdgeSoA& b) {
@@ -209,6 +227,32 @@ double QueryTarget::Component(const Polyline& copy,
       return DiscreteAvgMinDistance(query_, copy);
   }
   return std::numeric_limits<double>::infinity();
+}
+
+std::optional<double> QueryTarget::BoundedScore(const Polyline& copy,
+                                                MatchMeasure measure,
+                                                double threshold,
+                                                geom::EdgeSoA* scratch) const {
+  if (measure == MatchMeasure::kContinuousSymmetric ||
+      measure == MatchMeasure::kContinuousDirected) {
+    return Score(copy, measure);
+  }
+  const std::optional<double> to_query = AbandoningAverage(
+      copy.vertices(), [this](geom::Point p) { return Distance(p); },
+      threshold);
+  if (!to_query || measure == MatchMeasure::kDiscreteDirected) return to_query;
+  scratch->Assign(copy);
+  size_t evals = 0;
+  const std::optional<double> from_query = AbandoningAverage(
+      query_.vertices(),
+      [scratch, &evals](geom::Point p) {
+        ++evals;
+        return scratch->MinDistance(p);
+      },
+      threshold);
+  geom::CountBatchedEdges(evals * scratch->num_edges());
+  if (!from_query) return std::nullopt;
+  return std::max(*to_query, *from_query);
 }
 
 double QueryTarget::Score(const Polyline& copy, MatchMeasure measure) const {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "geom/edge_grid.h"
 #include "geom/edge_soa.h"
@@ -147,6 +148,19 @@ class QueryTarget {
 
   /// `measure` of `copy` against the query: the max of its components.
   double Score(const geom::Polyline& copy, MatchMeasure measure) const;
+
+  /// Score, or nullopt once it is proven to exceed `threshold` (the
+  /// early-abandoning verifier, DESIGN.md section 14.3). The discrete
+  /// measures add each component's per-vertex distances in vertex order,
+  /// the to-query component first and the from-query one only if that
+  /// survives, and give up as soon as partial / n > threshold; a value
+  /// returned is bit-identical to Score. The continuous measures are
+  /// always scored in full: a quadrature term can be negative, so their
+  /// partial sums bound nothing. `scratch` is refilled with the copy's
+  /// edges for the from-query direction (no allocation once warm).
+  std::optional<double> BoundedScore(const geom::Polyline& copy,
+                                     MatchMeasure measure, double threshold,
+                                     geom::EdgeSoA* scratch) const;
 
  private:
   geom::Polyline query_;

@@ -12,8 +12,12 @@ namespace {
 constexpr size_t kPad = 8;
 }  // namespace
 
-EdgeSoA::EdgeSoA(const Polyline& shape) {
+EdgeSoA::EdgeSoA(const Polyline& shape) { Assign(shape); }
+
+void EdgeSoA::Assign(const Polyline& shape) {
   num_edges_ = shape.NumEdges();
+  padded_ = 0;
+  has_vertex_ = false;
   if (num_edges_ == 0) {
     if (!shape.empty()) {
       has_vertex_ = true;

@@ -40,6 +40,11 @@ class EdgeSoA {
   /// Builds the store over `shape`'s edges. Geometry is copied.
   explicit EdgeSoA(const Polyline& shape);
 
+  /// Rebuilds the store over `shape`'s edges in place, exactly as the
+  /// constructor builds it, reusing the arrays' capacity: a scratch
+  /// store refilled per shape allocates only when a shape outgrows it.
+  void Assign(const Polyline& shape);
+
   size_t num_edges() const { return num_edges_; }
   bool empty() const { return num_edges_ == 0; }
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -147,6 +149,61 @@ TEST_P(MatcherPropertyTest, StatsAreInternallyConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherPropertyTest, ::testing::Range(0, 8));
+
+}  // namespace
+
+/// The one test seam into EnvelopeMatcher: its per-call epoch counter.
+class EnvelopeMatcherTestPeer {
+ public:
+  static void SetEpoch(EnvelopeMatcher* matcher, uint32_t epoch) {
+    matcher->epoch_ = epoch;
+  }
+};
+
+namespace {
+
+TEST(MatcherEpochTest, WrapAroundLeavesAnswersExact) {
+  util::Rng rng(77);
+  workload::PolygonGenOptions gen;
+  std::vector<Polyline> shapes;
+  ShapeBase base;
+  for (int s = 0; s < 300; ++s) {
+    shapes.push_back(RandomStarPolygon(&rng, gen));
+    ASSERT_TRUE(base.AddShape(shapes.back()).ok());
+  }
+  ASSERT_TRUE(base.Finalize().ok());
+  std::vector<Polyline> queries;
+  for (int q = 0; q < 3; ++q) {
+    queries.push_back(workload::JitterVertices(shapes[q * 7], 0.01, &rng));
+  }
+  MatchOptions options;
+  options.k = 3;
+  options.measure = MatchMeasure::kDiscreteSymmetric;
+  options.max_epsilon = 0.03;  // A thin envelope stamps a small part.
+
+  // Stamp part of the scratch with epoch 1, then jump to the last epoch:
+  // the next call wraps to the stamps' initial value, and the one after
+  // reuses an epoch number whose stamps are still in the arrays.
+  EnvelopeMatcher matcher(&base);
+  MatchStats first;
+  ASSERT_TRUE(matcher.Match(queries[0], options, &first).ok());
+  ASSERT_LT(first.vertices_accepted, base.NumVertices() / 2);
+  EnvelopeMatcherTestPeer::SetEpoch(&matcher,
+                                    std::numeric_limits<uint32_t>::max());
+  for (int q = 1; q < 3; ++q) {
+    auto got = matcher.Match(queries[q], options);
+    EnvelopeMatcher fresh(&base);
+    auto want = fresh.Match(queries[q], options);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_FALSE(want->empty());
+    ASSERT_EQ(want->size(), got->size()) << "query " << q;
+    for (size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*want)[i].shape_id, (*got)[i].shape_id) << "query " << q;
+      EXPECT_EQ((*want)[i].distance, (*got)[i].distance) << "query " << q;
+      EXPECT_EQ((*want)[i].copy_index, (*got)[i].copy_index) << "query " << q;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace geosir::core
