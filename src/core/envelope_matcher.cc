@@ -301,10 +301,7 @@ util::Status ValidateRanking(const MatchOptions& options, size_t k) {
 
 EnvelopeMatcher::EnvelopeMatcher(const ShapeBase* base) : base_(base) {
   vertex_epoch_.assign(base_->NumVertices(), 0);
-  copy_count_.assign(base_->NumCopies(), 0);
-  copy_epoch_.assign(base_->NumCopies(), 0);
-  copy_touch_iter_.assign(base_->NumCopies(), 0);
-  copy_evaluated_.assign(base_->NumCopies(), 0);
+  copies_.assign(base_->NumCopies(), CopyScratch{});
   shape_best_.assign(base_->NumShapes(),
                      std::numeric_limits<double>::infinity());
 }
@@ -464,7 +461,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   // initial value, would read as "counted"), so clear them first.
   if (++epoch_ == 0) {
     std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0);
-    std::fill(copy_epoch_.begin(), copy_epoch_.end(), 0);
+    for (CopyScratch& copy : copies_) copy.epoch = 0;
     epoch_ = 1;
   }
 
@@ -585,24 +582,27 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
               hard_stop = call.control.Check();
               if (!hard_stop.ok()) return;
             }
+            // Both vertex-indexed loads miss cache on a large base (ids
+            // arrive in kd order, not pool order); issuing them together
+            // overlaps the two misses.
+            const uint32_t copy_idx = base_->CopyOfVertex(ip.id);
             if (vertex_epoch_[ip.id] == epoch_) return;  // Deduplicated.
             // Exact membership: the cover is a superset of the ring.
             const double d = target.Distance(ip.p);
             if (d > eps) return;
             vertex_epoch_[ip.id] = epoch_;
             ++st.vertices_accepted;
-            const uint32_t copy_idx = base_->CopyOfVertex(ip.id);
-            if (copy_epoch_[copy_idx] != epoch_) {
-              copy_epoch_[copy_idx] = epoch_;
-              copy_count_[copy_idx] = 0;
-              copy_evaluated_[copy_idx] = 0;
+            CopyScratch& copy = copies_[copy_idx];
+            if (copy.epoch != epoch_) {
+              copy.epoch = epoch_;
+              copy.count = 0;
+              copy.evaluated = 0;
             }
-            if (copy_touch_iter_[copy_idx] != st.iterations ||
-                copy_count_[copy_idx] == 0) {
-              copy_touch_iter_[copy_idx] = static_cast<uint32_t>(st.iterations);
+            if (copy.touch_iter != st.iterations || copy.count == 0) {
+              copy.touch_iter = static_cast<uint32_t>(st.iterations);
               touched.push_back(copy_idx);
             }
-            ++copy_count_[copy_idx];
+            ++copy.count;
           });
       // A fail-fast external backend records the I/O error it hit (the
       // reporting interface itself is void); surface it instead of
@@ -632,7 +632,8 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     // same order for every thread count).
     pending_eval_.clear();
     for (uint32_t copy_idx : touched) {
-      if (copy_evaluated_[copy_idx]) continue;
+      CopyScratch& scratch = copies_[copy_idx];
+      if (scratch.evaluated) continue;
       const NormalizedCopy& copy = base_->copy(copy_idx);
       const size_t num_vertices = copy.shape.size();
       const size_t needed = static_cast<size_t>(
@@ -640,7 +641,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
       // +2: the copy's axis vertices sit at (0,0)/(1,0), on the
       // normalized query's boundary, hence inside every envelope. They
       // are not indexed (see ShapeBase::AddShape), so credit them here.
-      if (copy_count_[copy_idx] + 2 < std::max<size_t>(1, needed)) continue;
+      if (scratch.count + 2 < std::max<size_t>(1, needed)) continue;
       if (!hard_stop.ok()) {
         ++st.candidates_skipped;
         continue;
@@ -654,7 +655,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
         ++st.candidates_skipped;
         continue;
       }
-      copy_evaluated_[copy_idx] = 1;
+      scratch.evaluated = 1;
       ++st.candidates_evaluated;
       if (trace != nullptr) trace->push_back(copy_idx);
       pending_eval_.push_back(copy_idx);

@@ -108,10 +108,14 @@ class EnvelopeMatcher {
   // stamps and restarts at 1 when the epoch wraps.
   uint32_t epoch_ = 0;
   std::vector<uint32_t> vertex_epoch_;    // Vertex already counted.
-  std::vector<uint32_t> copy_count_;      // In-envelope vertices per copy.
-  std::vector<uint32_t> copy_epoch_;
-  std::vector<uint32_t> copy_touch_iter_; // Last iteration that touched it.
-  std::vector<uint8_t> copy_evaluated_;
+  // One record per copy, so an accepted vertex touches one cache line.
+  struct CopyScratch {
+    uint32_t epoch = 0;
+    uint32_t count = 0;       // In-envelope vertices.
+    uint32_t touch_iter = 0;  // Last iteration that touched it.
+    uint32_t evaluated = 0;
+  };
+  std::vector<CopyScratch> copies_;
 
   // Per-query scoring state, keyed by the normalized query: the query
   // target (the distance target of every *-ToQuery component and of the

@@ -10,15 +10,6 @@ std::ostream& operator<<(std::ostream& os, Point p) {
   return os << "(" << p.x << ", " << p.y << ")";
 }
 
-bool Triangle::Contains(Point p) const {
-  // Exact orientation signs: boundary points (sign 0) count as inside,
-  // and sliver triangles cannot misclassify near-edge points.
-  const int d1 = Orientation(a, b, p);
-  const int d2 = Orientation(b, c, p);
-  const int d3 = Orientation(c, a, p);
-  const bool has_neg = d1 < 0 || d2 < 0 || d3 < 0;
-  const bool has_pos = d1 > 0 || d2 > 0 || d3 > 0;
-  return !(has_neg && has_pos);
-}
+bool Triangle::Contains(Point p) const { return TriangleContains(*this, p); }
 
 }  // namespace geosir::geom

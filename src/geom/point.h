@@ -144,7 +144,9 @@ struct Triangle {
   /// Signed area (positive when a,b,c are counterclockwise).
   double SignedArea() const { return 0.5 * (b - a).Cross(c - a); }
 
-  /// Inclusive containment test (boundary points count as inside).
+  /// Inclusive containment test (boundary points count as inside). A
+  /// degenerate triangle contains exactly the segment or point its
+  /// corners span.
   bool Contains(Point p) const;
 };
 

@@ -17,13 +17,14 @@ bool BoxesOverlap(const Segment& s1, const Segment& s2, double eps) {
 // ---------------------------------------------------------------------------
 // Adaptive-precision exact orientation (Shewchuk-style).
 //
-// Stage 1 evaluates the 2x2 determinant in plain floating point and
-// certifies the sign with Shewchuk's orient2d stage-A error bound: the
-// computed value can differ from the true determinant by at most
-// kCcwErrBoundA * (|detleft| + |detright|), so any larger magnitude has
-// a provably correct sign. Only the rare inconclusive triples (nearly or
-// exactly collinear) fall through to stage 2, which computes the
-// determinant *exactly* as a multi-term floating-point expansion:
+// Stage 1 (inline in predicates.h) evaluates the 2x2 determinant in
+// plain floating point and certifies the sign with Shewchuk's orient2d
+// stage-A error bound: the computed value can differ from the true
+// determinant by at most kCcwErrBoundA * (|detleft| + |detright|), so any
+// larger magnitude has a provably correct sign. Only the rare
+// inconclusive triples (nearly or exactly collinear) fall through to
+// stage 2, which computes the determinant *exactly* as a multi-term
+// floating-point expansion:
 // expanding (b-a) x (c-a) cancels the a.x*a.y terms, leaving six
 // products; each is split into an exact (head, tail) pair with an FMA
 // two-product, and the twelve components are summed with two-sum
@@ -32,12 +33,6 @@ bool BoxesOverlap(const Segment& s1, const Segment& s2, double eps) {
 // mathematically exact sign for every finite input whose products do not
 // overflow (coordinates below ~1e150, far beyond validated shapes).
 // ---------------------------------------------------------------------------
-
-/// Machine epsilon for rounding-error analysis: 2^-53 (half of
-/// DBL_EPSILON, Shewchuk's convention).
-constexpr double kMacheps = 1.1102230246251565e-16;
-/// Shewchuk's orient2d stage-A relative error bound, (3 + 16 eps) eps.
-constexpr double kCcwErrBoundA = (3.0 + 16.0 * kMacheps) * kMacheps;
 
 /// Exact product: a * b == *head + *tail, |tail| <= ulp(head)/2.
 inline void TwoProduct(double a, double b, double* head, double* tail) {
@@ -69,7 +64,10 @@ inline void GrowExpansion(double* e, int* n, double value) {
   *n = out;
 }
 
-/// Exact sign of (b - a) x (c - a) by full expansion arithmetic.
+}  // namespace
+
+namespace internal {
+
 int OrientationExact(Point a, Point b, Point c) {
   // det = b.x*c.y - b.x*a.y - a.x*c.y - b.y*c.x + b.y*a.x + a.y*c.x
   // (the a.x*a.y terms of the two expanded products cancel exactly).
@@ -90,26 +88,7 @@ int OrientationExact(Point a, Point b, Point c) {
   return 0;
 }
 
-}  // namespace
-
-int Orientation(Point a, Point b, Point c) {
-  const double detleft = (b.x - a.x) * (c.y - a.y);
-  const double detright = (b.y - a.y) * (c.x - a.x);
-  const double det = detleft - detright;
-  double detsum;
-  if (detleft > 0.0) {
-    if (detright <= 0.0) return det > 0.0 ? 1 : (det < 0.0 ? -1 : 0);
-    detsum = detleft + detright;
-  } else if (detleft < 0.0) {
-    if (detright >= 0.0) return det > 0.0 ? 1 : (det < 0.0 ? -1 : 0);
-    detsum = -detleft - detright;
-  } else {
-    return det > 0.0 ? 1 : (det < 0.0 ? -1 : 0);  // det == -detright, exact.
-  }
-  if (det >= kCcwErrBoundA * detsum) return 1;
-  if (-det >= kCcwErrBoundA * detsum) return -1;
-  return OrientationExact(a, b, c);
-}
+}  // namespace internal
 
 bool OnSegment(Point p, const Segment& s, double eps) {
   if (Orientation(s.a, s.b, p) != 0) return false;

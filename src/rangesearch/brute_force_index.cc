@@ -8,22 +8,18 @@ void BruteForceIndex::Build(std::vector<IndexedPoint> points) {
 
 size_t BruteForceIndex::CountInTriangle(const geom::Triangle& t) const {
   size_t count = 0;
-  const geom::BoundingBox box = t.Bounds();
-  for (const IndexedPoint& ip : points_) {
-    ++stats_.points_tested;
-    if (box.Contains(ip.p) && t.Contains(ip.p)) ++count;
-  }
-  stats_.points_reported += count;
+  ReportInTriangle(t, [&count](const IndexedPoint&) { ++count; });
   return count;
 }
 
 void BruteForceIndex::ReportInTriangle(const geom::Triangle& t,
                                        const Visitor& visit) const {
   const geom::BoundingBox box = t.Bounds();
+  StatsTally tally(&stats_);
+  tally.points_tested = points_.size();
   for (const IndexedPoint& ip : points_) {
-    ++stats_.points_tested;
     if (box.Contains(ip.p) && t.Contains(ip.p)) {
-      ++stats_.points_reported;
+      ++tally.points_reported;
       visit(ip);
     }
   }
@@ -31,20 +27,17 @@ void BruteForceIndex::ReportInTriangle(const geom::Triangle& t,
 
 size_t BruteForceIndex::CountInRect(const geom::BoundingBox& box) const {
   size_t count = 0;
-  for (const IndexedPoint& ip : points_) {
-    ++stats_.points_tested;
-    if (box.Contains(ip.p)) ++count;
-  }
-  stats_.points_reported += count;
+  ReportInRect(box, [&count](const IndexedPoint&) { ++count; });
   return count;
 }
 
 void BruteForceIndex::ReportInRect(const geom::BoundingBox& box,
                                    const Visitor& visit) const {
+  StatsTally tally(&stats_);
+  tally.points_tested = points_.size();
   for (const IndexedPoint& ip : points_) {
-    ++stats_.points_tested;
     if (box.Contains(ip.p)) {
-      ++stats_.points_reported;
+      ++tally.points_reported;
       visit(ip);
     }
   }

@@ -215,10 +215,11 @@ void ConvexLayersIndex::ReportInTriangle(const geom::Triangle& t,
   } else {
     hp = EdgeHalfPlane(ccw.c, ccw.a);
   }
+  StatsTally tally(&stats_);
   ReportInHalfPlane(hp, [&](const IndexedPoint& ip) {
-    ++stats_.points_tested;
+    ++tally.points_tested;
     if (t.Contains(ip.p)) {
-      ++stats_.points_reported;
+      ++tally.points_reported;
       visit(ip);
     }
   });
@@ -235,10 +236,11 @@ void ConvexLayersIndex::ReportInRect(const geom::BoundingBox& box,
   if (box.empty()) return;
   // Enumerate the x <= max_x half-plane, filter by the box.
   const HalfPlane hp{Point{1.0, 0.0}, box.max_x};
+  StatsTally tally(&stats_);
   ReportInHalfPlane(hp, [&](const IndexedPoint& ip) {
-    ++stats_.points_tested;
+    ++tally.points_tested;
     if (box.Contains(ip.p)) {
-      ++stats_.points_reported;
+      ++tally.points_reported;
       visit(ip);
     }
   });

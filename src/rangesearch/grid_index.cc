@@ -78,28 +78,25 @@ size_t GridIndex::CountInTriangle(const Triangle& t) const {
 void GridIndex::ReportInTriangle(const Triangle& t,
                                  const Visitor& visit) const {
   if (points_.empty()) return;
-  const BoundingBox qbox = t.Bounds();
-  if (!qbox.Intersects(bounds_)) return;
+  const PreparedTriangle tri(t);
+  if (!tri.bounds().Intersects(bounds_)) return;
+  StatsTally tally(&stats_);
   int x0, y0, x1, y1;
-  CellRange(qbox, &x0, &y0, &x1, &y1);
+  CellRange(tri.bounds(), &x0, &y0, &x1, &y1);
   for (int cy = y0; cy <= y1; ++cy) {
     for (int cx = x0; cx <= x1; ++cx) {
-      ++stats_.nodes_visited;
-      const BoundingBox cell = CellBounds(cx, cy);
-      if (!TriangleIntersectsBox(t, cell)) continue;
+      ++tally.nodes_visited;
+      const PreparedTriangle::Overlap overlap = tri.Classify(CellBounds(cx, cy));
+      if (overlap == PreparedTriangle::Overlap::kDisjoint) continue;
       const size_t c = static_cast<size_t>(cy) * nx_ + cx;
-      const bool full = TriangleContainsBox(t, cell);
+      const bool full = overlap == PreparedTriangle::Overlap::kContained;
       for (uint32_t i = cell_start_[c]; i < cell_start_[c + 1]; ++i) {
-        if (full) {
-          ++stats_.points_reported;
-          visit(points_[i]);
-        } else {
-          ++stats_.points_tested;
-          if (t.Contains(points_[i].p)) {
-            ++stats_.points_reported;
-            visit(points_[i]);
-          }
+        if (!full) {
+          ++tally.points_tested;
+          if (!t.Contains(points_[i].p)) continue;
         }
+        ++tally.points_reported;
+        visit(points_[i]);
       }
     }
   }
@@ -114,21 +111,22 @@ size_t GridIndex::CountInRect(const BoundingBox& box) const {
 void GridIndex::ReportInRect(const BoundingBox& box,
                              const Visitor& visit) const {
   if (points_.empty() || box.empty() || !box.Intersects(bounds_)) return;
+  StatsTally tally(&stats_);
   int x0, y0, x1, y1;
   CellRange(box, &x0, &y0, &x1, &y1);
   for (int cy = y0; cy <= y1; ++cy) {
     for (int cx = x0; cx <= x1; ++cx) {
-      ++stats_.nodes_visited;
+      ++tally.nodes_visited;
       const BoundingBox cell = CellBounds(cx, cy);
       const bool full = cell.min_x >= box.min_x && cell.max_x <= box.max_x &&
                         cell.min_y >= box.min_y && cell.max_y <= box.max_y;
       const size_t c = static_cast<size_t>(cy) * nx_ + cx;
       for (uint32_t i = cell_start_[c]; i < cell_start_[c + 1]; ++i) {
         if (full || box.Contains(points_[i].p)) {
-          ++stats_.points_reported;
+          ++tally.points_reported;
           visit(points_[i]);
         } else {
-          ++stats_.points_tested;
+          ++tally.points_tested;
         }
       }
     }

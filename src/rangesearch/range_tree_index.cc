@@ -111,14 +111,14 @@ int32_t RangeTreeIndex::BuildNode(uint32_t begin, uint32_t end,
 }
 
 void RangeTreeIndex::EmitRange(const Node& n, uint32_t ylo, uint32_t yhi,
-                               const Visitor* visit, size_t* count) const {
+                               const Visitor* visit, size_t* count,
+                               StatsTally* tally) const {
+  tally->points_reported += yhi - ylo;
   if (count != nullptr) {
     *count += yhi - ylo;
-    stats_.points_reported += yhi - ylo;
     return;
   }
   for (uint32_t i = ylo; i < yhi; ++i) {
-    ++stats_.points_reported;
     (*visit)(points_[pts_[n.list_off + i]]);
   }
 }
@@ -187,6 +187,7 @@ void RangeTreeIndex::QueryRect(const BoundingBox& box, const Visitor* visit,
   const uint32_t ylo0 = lower_y(box.min_y);
   const uint32_t yhi0 = upper_y(box.max_y);
 
+  StatsTally tally(&stats_);
   // Iterative walk with an explicit stack of (node, ylo, yhi).
   struct Frame {
     int32_t node;
@@ -200,19 +201,19 @@ void RangeTreeIndex::QueryRect(const BoundingBox& box, const Visitor* visit,
     stack.pop_back();
     if (f.ylo >= f.yhi) continue;
     const Node& node = nodes_[f.node];
-    ++stats_.nodes_visited;
+    ++tally.nodes_visited;
     if (node.end <= r1 || node.begin >= r2) continue;
     if (r1 <= node.begin && node.end <= r2) {
-      EmitRange(node, f.ylo, f.yhi, visit, count);
+      EmitRange(node, f.ylo, f.yhi, visit, count, &tally);
       continue;
     }
     if (node.left < 0) {
       // Partial leaf: test ranks directly (the y-range already holds).
+      tally.points_tested += f.yhi - f.ylo;
       for (uint32_t i = f.ylo; i < f.yhi; ++i) {
-        ++stats_.points_tested;
         const uint32_t rank = pts_[node.list_off + i];
         if (rank >= r1 && rank < r2) {
-          ++stats_.points_reported;
+          ++tally.points_reported;
           if (count != nullptr) {
             ++(*count);
           } else {
@@ -249,8 +250,9 @@ size_t RangeTreeIndex::CountInTriangle(const Triangle& t) const {
 void RangeTreeIndex::ReportInTriangle(const Triangle& t,
                                       const Visitor& visit) const {
   const BoundingBox box = t.Bounds();
+  StatsTally tally(&stats_);
   const Visitor filtered = [&](const IndexedPoint& ip) {
-    ++stats_.points_tested;
+    ++tally.points_tested;
     if (t.Contains(ip.p)) visit(ip);
   };
   QueryRect(box, &filtered, nullptr);

@@ -57,7 +57,7 @@ class RangeTreeIndex : public SimplexIndex {
 
   /// Reports/counts entries [ylo, yhi) of `node`'s y-list.
   void EmitRange(const Node& n, uint32_t ylo, uint32_t yhi,
-                 const Visitor* visit, size_t* count) const;
+                 const Visitor* visit, size_t* count, StatsTally* tally) const;
 
   /// Core walk shared by counting and reporting.
   void QueryRect(const geom::BoundingBox& box, const Visitor* visit,

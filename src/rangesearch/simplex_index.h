@@ -39,6 +39,29 @@ struct QueryStats {
   void Reset() { *this = QueryStats{}; }
 };
 
+/// One query call's work counts, added to the shared QueryStats once when
+/// the call ends (also on unwind): one atomic add per counter and call
+/// instead of one per node or point, and no cache line shared between
+/// concurrent readers of one index until then.
+class StatsTally {
+ public:
+  explicit StatsTally(QueryStats* stats) : stats_(stats) {}
+  StatsTally(const StatsTally&) = delete;
+  StatsTally& operator=(const StatsTally&) = delete;
+  ~StatsTally() {
+    if (nodes_visited != 0) stats_->nodes_visited += nodes_visited;
+    if (points_tested != 0) stats_->points_tested += points_tested;
+    if (points_reported != 0) stats_->points_reported += points_reported;
+  }
+
+  uint64_t nodes_visited = 0;
+  uint64_t points_tested = 0;
+  uint64_t points_reported = 0;
+
+ private:
+  QueryStats* stats_;
+};
+
 /// Interface for the simplex (triangle) range-searching structures of
 /// Section 2.5: preprocess a static point set so that the vertices falling
 /// inside a query triangle can be counted and reported quickly. The

@@ -1,6 +1,8 @@
 #include "rangesearch/tri_box.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace geosir::rangesearch {
 
@@ -16,47 +18,36 @@ bool TriangleContainsBox(const Triangle& t, const BoundingBox& box) {
          t.Contains(Point{box.min_x, box.max_y});
 }
 
-namespace {
-
-void ProjectTriangle(const Triangle& t, Point axis, double* lo, double* hi) {
-  const double pa = t.a.Dot(axis);
-  const double pb = t.b.Dot(axis);
-  const double pc = t.c.Dot(axis);
-  *lo = std::min({pa, pb, pc});
-  *hi = std::max({pa, pb, pc});
-}
-
-void ProjectBox(const BoundingBox& box, Point axis, double* lo, double* hi) {
-  const Point corners[4] = {{box.min_x, box.min_y},
-                            {box.max_x, box.min_y},
-                            {box.max_x, box.max_y},
-                            {box.min_x, box.max_y}};
-  *lo = *hi = corners[0].Dot(axis);
-  for (int i = 1; i < 4; ++i) {
-    const double v = corners[i].Dot(axis);
-    *lo = std::min(*lo, v);
-    *hi = std::max(*hi, v);
-  }
-}
-
-}  // namespace
-
 bool TriangleIntersectsBox(const Triangle& t, const BoundingBox& box) {
-  if (box.empty()) return false;
-  // Box axes.
-  const BoundingBox tb = t.Bounds();
-  if (!tb.Intersects(box)) return false;
-  // Triangle edge normals.
+  return PreparedTriangle(t).Intersects(box);
+}
+
+PreparedTriangle::PreparedTriangle(const Triangle& t)
+    : t_(t), bounds_(t.Bounds()) {
+  // A point of the triangle's bounding box projects onto `axis` with an
+  // absolute rounding error below eps * m (two roundings of
+  // |x * axis.x| + |y * axis.y| <= m, plus gradual underflow), and the
+  // triangle's interval end carries the same error. A box inside the
+  // triangle lies inside its bounding box, and its exact projection lies
+  // inside the triangle's exact interval for any axis, so twice that
+  // bound (doubled again for margin) can never decline a contained box.
+  const double max_x = std::max(std::abs(bounds_.min_x), std::abs(bounds_.max_x));
+  const double max_y = std::max(std::abs(bounds_.min_y), std::abs(bounds_.max_y));
   const Point edges[3] = {t.b - t.a, t.c - t.b, t.a - t.c};
   for (const Point& e : edges) {
     const Point axis = e.Perp();
     if (axis.SquaredNorm() == 0.0) continue;
-    double tlo, thi, blo, bhi;
-    ProjectTriangle(t, axis, &tlo, &thi);
-    ProjectBox(box, axis, &blo, &bhi);
-    if (thi < blo || bhi < tlo) return false;
+    const double pa = t.a.Dot(axis);
+    const double pb = t.b.Dot(axis);
+    const double pc = t.c.Dot(axis);
+    const double m = max_x * std::abs(axis.x) + max_y * std::abs(axis.y);
+    axis_[num_axes_] = axis;
+    lo_[num_axes_] = std::min({pa, pb, pc});
+    hi_[num_axes_] = std::max({pa, pb, pc});
+    slack_[num_axes_] = 4.0 * std::numeric_limits<double>::epsilon() * m +
+                        8.0 * std::numeric_limits<double>::denorm_min();
+    ++num_axes_;
   }
-  return true;
 }
 
 }  // namespace geosir::rangesearch

@@ -205,5 +205,33 @@ TEST(MatcherEpochTest, WrapAroundLeavesAnswersExact) {
   }
 }
 
+// At a tiny initial width the first ring's cover collapses to
+// point-sized (degenerate) triangles. Each must report only the vertices
+// it actually spans, not a whole kd-tree subtree per triangle: one round
+// reports at most every pooled vertex once per cover triangle that holds
+// it, far below the pool size here.
+TEST(MatcherDegenerateCoverTest, TinyInitialEpsilonReportsNoSubtrees) {
+  util::Rng rng(91);
+  workload::PolygonGenOptions gen;
+  gen.min_vertices = 8;
+  gen.max_vertices = 16;
+  std::vector<Polyline> shapes;
+  ShapeBase base;
+  for (int s = 0; s < 2000; ++s) {
+    shapes.push_back(RandomStarPolygon(&rng, gen));
+    ASSERT_TRUE(base.AddShape(shapes.back()).ok());
+  }
+  ASSERT_TRUE(base.Finalize().ok());
+  MatchOptions options;
+  options.initial_epsilon = 1e-18;
+  options.budget.max_rounds = 1;
+  EnvelopeMatcher matcher(&base);
+  MatchStats stats;
+  (void)matcher.Match(workload::JitterVertices(shapes[5], 0.01, &rng), options,
+                      &stats);
+  EXPECT_EQ(stats.iterations, 1u);
+  EXPECT_LE(stats.vertices_reported, base.NumVertices());
+}
+
 }  // namespace
 }  // namespace geosir::core

@@ -12,6 +12,7 @@
 #include "rangesearch/range_tree_index.h"
 #include "rangesearch/tri_box.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace geosir::rangesearch {
 namespace {
@@ -174,12 +175,132 @@ TEST_P(SimplexIndexParamTest, DegenerateTriangleQuery) {
   // Zero-area triangle (a segment).
   const Triangle t{{0.1, 0.1}, {0.9, 0.9}, {0.5, 0.5}};
   EXPECT_EQ(index->CountInTriangle(t), oracle.CountInTriangle(t));
+
+  // A degenerate triangle is the segment or point its corners span, not
+  // the whole supporting line (or plane). Explicit answers: the brute
+  // force oracle shares Triangle::Contains. Points k/4 along the
+  // diagonal for k in [-2, 6] (ids 0..8, exact binary fractions), a
+  // duplicate of (0.5, 0.5) (id 9) and two points off the line.
+  std::vector<IndexedPoint> diagonal;
+  for (int k = -2; k <= 6; ++k) {
+    diagonal.push_back(IndexedPoint{{0.25 * k, 0.25 * k},
+                                    static_cast<uint32_t>(k + 2)});
+  }
+  diagonal.push_back(IndexedPoint{{0.5, 0.5}, 9});
+  diagonal.push_back(IndexedPoint{{0.25, 0.5}, 10});
+  diagonal.push_back(IndexedPoint{{1.5, 0.0}, 11});
+  auto line_index = MakeIndex();
+  line_index->Build(diagonal);
+  const Triangle segment{{0.0, 0.0}, {1.0, 1.0}, {0.5, 0.5}};
+  EXPECT_EQ(CollectTriangle(*line_index, segment),
+            (std::multiset<uint32_t>{2, 3, 4, 5, 6, 9}));
+  EXPECT_EQ(line_index->CountInTriangle(segment), 6u);
+  const Triangle point{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}};
+  EXPECT_EQ(CollectTriangle(*line_index, point),
+            (std::multiset<uint32_t>{4, 9}));
+  EXPECT_EQ(line_index->CountInTriangle(point), 2u);
+  // Two coincident corners: the segment (0.25,0.25)-(1,1).
+  const Triangle doubled{{0.25, 0.25}, {0.25, 0.25}, {1.0, 1.0}};
+  EXPECT_EQ(CollectTriangle(*line_index, doubled),
+            (std::multiset<uint32_t>{3, 4, 5, 6, 9}));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SimplexIndexParamTest,
                          ::testing::Values("brute", "grid", "kd", "rangetree",
                                            "layers"),
                          [](const auto& info) { return info.param; });
+
+// The kd-tree's report order is its point order: a triangle query
+// reports exactly the points ReportInRect(everything) reports that the
+// triangle contains, in the same sequence, whether a subtree was reported
+// whole or point by point. Integer lattice points and lattice triangles
+// put points exactly on edges and corners and whole node boxes inside
+// triangles; 1.2e5 points make the tree deep enough for the parallel
+// build.
+TEST(KdTreeTest, TriangleReportsAreFilteredRectOrder) {
+  std::vector<IndexedPoint> points;
+  uint32_t id = 0;
+  for (int x = 0; x < 400; ++x) {
+    for (int y = 0; y < 300; ++y) {
+      points.push_back(IndexedPoint{{double(x), double(y)}, id++});
+    }
+  }
+  KdTreeIndex index;
+  index.Build(points);
+  std::vector<IndexedPoint> all;
+  index.ReportInRect(BoundingBox({-1, -1}, {400, 300}),
+                     [&](const IndexedPoint& ip) { all.push_back(ip); });
+  ASSERT_EQ(all.size(), points.size());
+
+  util::Rng rng(505);
+  std::vector<Triangle> queries = {
+      {{10, 10}, {210, 10}, {10, 210}},     // Hypotenuse through lattice.
+      {{0, 0}, {399, 299}, {0, 299}},       // Diagonal through corners.
+      {{50, 50}, {50, 50}, {150, 150}},     // Degenerate: a segment.
+      {{-5, -5}, {500, -5}, {-5, 400}}};    // Covers everything.
+  for (int q = 0; q < 40; ++q) {
+    const auto corner = [&] {
+      return Point{double(rng.UniformInt(-20, 420)),
+                   double(rng.UniformInt(-20, 320))};
+    };
+    queries.push_back(Triangle{corner(), corner(), corner()});
+  }
+  for (int q = 0; q < 20; ++q) {  // Thin slivers, as in an envelope ring.
+    const Point a{rng.Uniform(0, 400), rng.Uniform(0, 300)};
+    const Point b{rng.Uniform(0, 400), rng.Uniform(0, 300)};
+    queries.push_back(Triangle{a, b, b + Point{rng.Uniform(-2, 2),
+                                               rng.Uniform(-2, 2)}});
+  }
+  bool some_whole_subtree = false;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const Triangle& t = queries[q];
+    std::vector<uint32_t> want;
+    for (const IndexedPoint& ip : all) {
+      if (t.Contains(ip.p)) want.push_back(ip.id);
+    }
+    index.ResetStats();
+    std::vector<uint32_t> got;
+    index.ReportInTriangle(t,
+                           [&](const IndexedPoint& ip) { got.push_back(ip.id); });
+    EXPECT_EQ(got, want) << "query " << q;
+    EXPECT_EQ(index.CountInTriangle(t), want.size()) << "query " << q;
+    some_whole_subtree = some_whole_subtree ||
+                         index.stats().points_tested < want.size();
+  }
+  EXPECT_TRUE(some_whole_subtree);
+}
+
+// Build has no serial/parallel switch: a build inside a ParallelFor body
+// runs serially (the pool's nesting rule) and must produce the same tree
+// as the parallel build from the main thread.
+TEST(KdTreeTest, ParallelAndNestedSerialBuildsAgree) {
+  util::Rng rng(606);
+  auto points = RandomPoints(150000, &rng);
+  for (uint32_t i = 0; i < 20000; ++i) {  // Ties on both split axes.
+    points.push_back(IndexedPoint{points[i].p, 150000 + i});
+  }
+  KdTreeIndex parallel;
+  parallel.Build(points);
+  KdTreeIndex nested;
+  util::ThreadPool::Shared().ParallelFor(
+      1, 0, [&](size_t, size_t) { nested.Build(points); });
+
+  const auto rect_order = [](const KdTreeIndex& index) {
+    std::vector<uint32_t> ids;
+    index.ReportInRect(BoundingBox({0, 0}, {1, 1}),
+                       [&](const IndexedPoint& ip) { ids.push_back(ip.id); });
+    return ids;
+  };
+  const std::vector<uint32_t> order = rect_order(parallel);
+  ASSERT_EQ(order.size(), points.size());
+  EXPECT_EQ(order, rect_order(nested));
+  for (int q = 0; q < 50; ++q) {
+    const Triangle t{{rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)},
+                     {rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)},
+                     {rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)}};
+    EXPECT_EQ(parallel.CountInTriangle(t), nested.CountInTriangle(t));
+  }
+}
 
 TEST(RangeTreeTest, SpaceIsNLogN) {
   util::Rng rng(55);
