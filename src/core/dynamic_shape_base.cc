@@ -406,10 +406,9 @@ DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher,
     while (true) {
       MatchOptions match = options_.match;
       match.k = k + slack;
-      // Each slack attempt re-runs the full query; `st` keeps the final
-      // attempt's diagnostics (including the degraded flag). The
-      // matcher's per-query memo makes retries cheap: every copy scored
-      // in an earlier attempt is a cache hit.
+      // Each slack attempt re-runs the full query, range search and
+      // scoring alike; `st` keeps the final attempt's diagnostics
+      // (including the degraded flag).
       auto main_result = matcher->Match(query, match, &st);
       std::vector<MatchResult> main_results;
       if (main_result.ok()) {

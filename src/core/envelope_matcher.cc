@@ -37,7 +37,6 @@ struct MatcherMetrics {
   obs::Counter* candidates;
   obs::Counter* candidates_skipped;
   obs::Counter* candidates_abandoned;
-  obs::Counter* eval_cache_hits;
   obs::Counter* partials;
   obs::Counter* degraded;
   obs::Counter* term_early_exit;
@@ -74,9 +73,6 @@ struct MatcherMetrics {
       m->candidates_abandoned = r.GetCounter(
           "geosir_matcher_candidates_abandoned_total",
           "Candidates the verifier dropped on a partial score");
-      m->eval_cache_hits =
-          r.GetCounter("geosir_matcher_eval_cache_hits_total",
-                       "Similarity components served from the per-query memo");
       m->partials = r.GetCounter("geosir_matcher_partials_total",
                                  "Queries returning best-so-far partials");
       m->degraded = r.GetCounter(
@@ -144,56 +140,6 @@ util::ThreadPool* ResolvePool(const MatchOptions& options) {
   return options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
 }
 
-/// The abandoning threshold of one MatchCandidates call (DESIGN.md
-/// section 14.3). A candidate may be dropped once its score provably
-/// exceeds For(its shape): min(limit, that shape's best so far), where
-/// the limit is collect_threshold in collect mode and otherwise the k-th
-/// smallest best among the distinct shapes verified so far. Per shape,
-/// never per copy: k copies of one shape must not stand in for k shapes.
-/// Only the calling thread records scores, in candidate order.
-class AbandonBound {
- public:
-  /// `shape_best` holds +inf for every shape and is updated in place; the
-  /// caller resets the entries of the shapes it folded.
-  AbandonBound(const MatchOptions& options, std::vector<double>* shape_best)
-      : shape_best_(*shape_best),
-        k_(options.k),
-        // A k at or above the shape count never fills: nothing to track.
-        track_kth_(options.collect_threshold <= 0.0 && k_ < shape_best->size()),
-        limit_(options.collect_threshold > 0.0
-                   ? options.collect_threshold
-                   : std::numeric_limits<double>::infinity()) {}
-
-  double For(ShapeId id) const { return std::min(limit_, shape_best_[id]); }
-
-  /// Records a verified (unabandoned) score of a copy of shape `id`.
-  void Record(ShapeId id, double distance) {
-    double& best = shape_best_[id];
-    if (!(distance < best)) return;
-    if (track_kth_) {
-      // kth_ holds the k smallest per-shape bests, sorted. A shape whose
-      // old best was among them trades it for the new one; otherwise the
-      // new best enters and the largest drops out. (On a tie at the k-th
-      // value either choice leaves the same values.)
-      if (std::isfinite(best) && best <= limit_) {
-        kth_.erase(std::lower_bound(kth_.begin(), kth_.end(), best));
-      }
-      kth_.insert(std::upper_bound(kth_.begin(), kth_.end(), distance),
-                  distance);
-      if (kth_.size() > k_) kth_.pop_back();
-      if (kth_.size() == k_) limit_ = kth_.back();
-    }
-    best = distance;
-  }
-
- private:
-  std::vector<double>& shape_best_;
-  const size_t k_;
-  const bool track_kth_;
-  double limit_;
-  std::vector<double> kth_;
-};
-
 }  // namespace
 
 /// One Match or MatchCandidates call: its stats sink, its lifecycle
@@ -233,7 +179,6 @@ struct EnvelopeMatcher::Call {
     metrics.candidates->Inc(st.candidates_evaluated);
     metrics.candidates_skipped->Inc(st.candidates_skipped);
     metrics.candidates_abandoned->Inc(st.candidates_abandoned);
-    metrics.eval_cache_hits->Inc(st.eval_cache_hits);
     if (st.partial) metrics.partials->Inc();
     if (st.degraded) metrics.degraded->Inc();
     metrics.TerminationCounter(reason)->Inc();
@@ -287,6 +232,79 @@ struct EnvelopeMatcher::Call {
   std::optional<util::ScopedQueryControl> scoped;
 };
 
+/// The abandoning threshold of one Match or MatchCandidates call
+/// (DESIGN.md section 14.3), and the call's best result per shape. A
+/// candidate may be dropped once its score provably exceeds For(its
+/// shape): min(limit, that shape's best so far), where the limit is
+/// collect_threshold in collect mode and otherwise the k-th smallest best
+/// among the distinct shapes verified so far. Per shape, never per copy:
+/// k copies of one shape must not stand in for k shapes. Only the calling
+/// thread records scores, in candidate order. The bests are mirrored in
+/// the matcher's `shape_best_` for O(1) lookup; the destructor resets the
+/// entries of the shapes this call saw, so every exit leaves them +inf.
+class EnvelopeMatcher::AbandonBound {
+ public:
+  AbandonBound(const MatchOptions& options, std::vector<double>* shape_best)
+      : shape_best_(*shape_best),
+        k_(options.k),
+        // A k above the shape count never fills: nothing to track.
+        track_kth_(options.collect_threshold <= 0.0 &&
+                   k_ <= shape_best->size()),
+        limit_(options.collect_threshold > 0.0
+                   ? options.collect_threshold
+                   : std::numeric_limits<double>::infinity()) {}
+  ~AbandonBound() {
+    for (const auto& [id, result] : best_) {
+      shape_best_[id] = std::numeric_limits<double>::infinity();
+    }
+  }
+
+  double For(ShapeId id) const { return std::min(limit_, shape_best_[id]); }
+
+  /// The k-th smallest best among the distinct shapes recorded so far;
+  /// +inf until k shapes have been recorded, and in collect mode.
+  double Kth() const {
+    return track_kth_ && kth_.size() == k_
+               ? kth_.back()
+               : std::numeric_limits<double>::infinity();
+  }
+
+  /// Records a verified (unabandoned) score of one copy.
+  void Record(const MatchResult& result) {
+    FoldBest(result, &best_);
+    double& best = shape_best_[result.shape_id];
+    const double distance = result.distance;
+    if (!(distance < best)) return;
+    if (track_kth_) {
+      // kth_ holds the k smallest per-shape bests, sorted. A shape whose
+      // old best was among them trades it for the new one; otherwise the
+      // new best enters and the largest drops out. (On a tie at the k-th
+      // value either choice leaves the same values.)
+      if (std::isfinite(best) && best <= limit_) {
+        kth_.erase(std::lower_bound(kth_.begin(), kth_.end(), best));
+      }
+      kth_.insert(std::upper_bound(kth_.begin(), kth_.end(), distance),
+                  distance);
+      if (kth_.size() > k_) kth_.pop_back();
+      if (kth_.size() == k_) limit_ = kth_.back();
+    }
+    best = distance;
+  }
+
+  /// The best verified result per shape.
+  const std::unordered_map<ShapeId, MatchResult>& best() const {
+    return best_;
+  }
+
+ private:
+  std::vector<double>& shape_best_;
+  const size_t k_;
+  const bool track_kth_;
+  double limit_;
+  std::vector<double> kth_;
+  std::unordered_map<ShapeId, MatchResult> best_;
+};
+
 util::Status ValidateRanking(const MatchOptions& options, size_t k) {
   if (!std::isfinite(options.collect_threshold)) {
     return util::Status::InvalidArgument(
@@ -306,22 +324,6 @@ EnvelopeMatcher::EnvelopeMatcher(const ShapeBase* base) : base_(base) {
                      std::numeric_limits<double>::infinity());
 }
 
-void EnvelopeMatcher::PrepareQueryCache(const Polyline& q,
-                                        const MatchOptions& options) {
-  const bool want_grid =
-      q.NumEdges() >= options.similarity.grid_min_edges && q.NumEdges() > 0;
-  const bool same_query =
-      target_ != nullptr && target_->has_grid() == want_grid &&
-      target_->query().closed() == q.closed() &&
-      target_->query().vertices() == q.vertices() &&
-      target_->options().quadrature_tolerance ==
-          options.similarity.quadrature_tolerance &&
-      target_->options().max_depth == options.similarity.max_depth;
-  if (same_query) return;
-  eval_cache_.clear();
-  target_ = std::make_unique<QueryTarget>(q, options.similarity);
-}
-
 util::Result<NormalizedCopy> EnvelopeMatcher::Begin(const Polyline& query,
                                                     const MatchOptions& options,
                                                     Call* call) {
@@ -338,66 +340,62 @@ util::Result<NormalizedCopy> EnvelopeMatcher::Begin(const Polyline& query,
   // exactly this query's index work.
   call->scoped.emplace(&call->control);
   GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
-  PrepareQueryCache(qnorm.shape, options);
+  target_ = std::make_unique<QueryTarget>(qnorm.shape, options.similarity);
   return qnorm;
 }
 
-void EnvelopeMatcher::ScoreCandidates(
+util::Status EnvelopeMatcher::Verify(
     std::span<const uint32_t> candidates, const MatchOptions& options,
-    MatchStats* stats, std::unordered_map<ShapeId, MatchResult>* best) {
-  MeasureComponent components[2];
-  const size_t num_components = ComponentsOf(options.measure, components);
-  const size_t n = candidates.size();
-  // component_values[i * 2 + j] holds component j of candidate i.
-  pending_distances_.assign(n * 2, 0.0);
-  missing_keys_.clear();
-  missing_slots_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < num_components; ++j) {
-      const uint64_t key = static_cast<uint64_t>(candidates[i]) * 4 +
-                           static_cast<uint64_t>(components[j]);
-      const auto it = eval_cache_.find(key);
-      if (it != eval_cache_.end()) {
-        pending_distances_[i * 2 + j] = it->second;
-        ++stats->eval_cache_hits;
-      } else {
-        missing_keys_.push_back(key);
-        missing_slots_.push_back(static_cast<uint32_t>(i * 2 + j));
-      }
+    Call* call, AbandonBound* bound, AccessTrace* trace) {
+  // Chunked so deadline / cancel are observed between chunks without a
+  // per-candidate poll. Serially the bound tightens after every
+  // candidate; on the pool it is read-only while a chunk fans out and
+  // tightens in the merge, in candidate order on this thread, so only
+  // the work abandoned depends on the schedule. Pool chunks are larger so
+  // one fork-join spans ~1k candidates, most of them abandoned after a
+  // few vertices.
+  MatchStats& st = call->st;
+  util::ThreadPool* pool = ResolvePool(options);
+  const size_t slots = pool != nullptr ? pool->MaxSlots(options.num_threads) : 1;
+  const size_t chunk_size = pool != nullptr ? 1024 : 64;
+  if (edge_scratch_.size() < slots) edge_scratch_.resize(slots);
+  const auto verify = [&](size_t worker, uint32_t c) {
+    const NormalizedCopy& copy = base_->copy(c);
+    return target_->BoundedScore(copy.shape, options.measure,
+                                 bound->For(copy.shape_id),
+                                 &edge_scratch_[worker]);
+  };
+  const auto fold = [&](uint32_t c, const std::optional<double>& distance) {
+    if (!distance) {
+      ++st.candidates_abandoned;
+      return;
+    }
+    bound->Record({base_->copy(c).shape_id, *distance, c});
+  };
+  for (size_t begin = 0; begin < candidates.size(); begin += chunk_size) {
+    util::Status stop = call->control.Check();
+    if (!stop.ok()) {
+      st.candidates_skipped += candidates.size() - begin;
+      return stop;
+    }
+    const std::span<const uint32_t> chunk = candidates.subspan(
+        begin, std::min(chunk_size, candidates.size() - begin));
+    if (pool != nullptr && chunk.size() > 1) {
+      verified_.resize(chunk.size());
+      pool->ParallelFor(chunk.size(), options.num_threads,
+                        [&](size_t worker, size_t i) {
+                          verified_[i] = verify(worker, chunk[i]);
+                        });
+      for (size_t i = 0; i < chunk.size(); ++i) fold(chunk[i], verified_[i]);
+    } else {
+      for (uint32_t c : chunk) fold(c, verify(0, c));
+    }
+    st.candidates_evaluated += chunk.size();
+    if (trace != nullptr) {
+      trace->insert(trace->end(), chunk.begin(), chunk.end());
     }
   }
-
-  // Fan the uncached similarity integrals out across the pool. Each item
-  // writes only its own slot; the cache and the target are read-only
-  // during the region.
-  missing_values_.assign(missing_keys_.size(), 0.0);
-  const auto score_one = [&](size_t /*worker*/, size_t w) {
-    const uint64_t key = missing_keys_[w];
-    missing_values_[w] =
-        target_->Component(base_->copy(static_cast<uint32_t>(key / 4)).shape,
-                           static_cast<MeasureComponent>(key % 4));
-  };
-  util::ThreadPool* pool = ResolvePool(options);
-  if (pool != nullptr && missing_keys_.size() > 1) {
-    pool->ParallelFor(missing_keys_.size(), options.num_threads, score_one);
-  } else {
-    for (size_t w = 0; w < missing_keys_.size(); ++w) score_one(0, w);
-  }
-
-  // Merge barrier: fold results into the memo and the best-per-shape
-  // table in candidate order — deterministic for every thread count.
-  for (size_t w = 0; w < missing_keys_.size(); ++w) {
-    eval_cache_.emplace(missing_keys_[w], missing_values_[w]);
-    pending_distances_[missing_slots_[w]] = missing_values_[w];
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const double distance =
-        num_components == 2
-            ? std::max(pending_distances_[i * 2], pending_distances_[i * 2 + 1])
-            : pending_distances_[i * 2];
-    FoldBest({base_->copy(candidates[i]).shape_id, distance, candidates[i]},
-             best);
-  }
+  return util::Status::OK();
 }
 
 util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
@@ -471,25 +469,17 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   const uint64_t skipped_subtrees_before = base_->index().stats().subtrees_skipped;
   const uint64_t skipped_leaves_before = base_->index().stats().leaves_skipped;
 
-  // Best result per shape.
-  std::unordered_map<ShapeId, MatchResult> best_per_shape;
-  // Distances of evaluated copies' shapes, for the k-th best early exit.
-  std::vector<double> best_distances;
-
-  const auto kth_best = [&]() {
-    if (best_distances.size() < options.k) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return best_distances[options.k - 1];
-  };
+  // The verifier's bound and best result per shape across all rounds
+  // (its k-th best also feeds the early exit).
+  AbandonBound bound(options, &shape_best_);
 
   double eps_prev = 0.0;
   double eps = eps1;
   std::vector<uint32_t> touched;  // Copies touched in this iteration.
 
   // Lifecycle stop state. `hard_stop` (deadline / cancel) abandons the
-  // current round without scoring its candidates — a query on its way out
-  // must not start new similarity integrals. `budget_stop`
+  // current round without scoring the rest of its candidates — a query on
+  // its way out must not start new similarity integrals. `budget_stop`
   // (kResourceExhausted) finishes the round's already-admitted work first:
   // budgets are deterministic cutoffs, not emergencies. Both end the
   // search with best-so-far results.
@@ -508,7 +498,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     size_t vertices_accepted = 0;
     size_t candidates_evaluated = 0;
     size_t candidates_skipped = 0;
-    size_t eval_cache_hits = 0;
+    size_t candidates_abandoned = 0;
     uint64_t nodes_visited = 0;
     uint64_t subtrees_skipped = 0;
   } round_base;
@@ -524,7 +514,8 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
         st.candidates_evaluated - round_base.candidates_evaluated;
     round.candidates_skipped =
         st.candidates_skipped - round_base.candidates_skipped;
-    round.eval_cache_hits = st.eval_cache_hits - round_base.eval_cache_hits;
+    round.candidates_abandoned =
+        st.candidates_abandoned - round_base.candidates_abandoned;
     const rangesearch::QueryStats& index_stats = base_->index().stats();
     round.index_nodes_visited =
         index_stats.nodes_visited - round_base.nodes_visited;
@@ -556,7 +547,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
           st.vertices_accepted,
           st.candidates_evaluated,
           st.candidates_skipped,
-          st.eval_cache_hits,
+          st.candidates_abandoned,
           index_stats.nodes_visited,
           index_stats.subtrees_skipped};
     }
@@ -647,7 +638,8 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
         continue;
       }
       if (budget.max_candidates > 0 &&
-          st.candidates_evaluated >= budget.max_candidates) {
+          st.candidates_evaluated + pending_eval_.size() >=
+              budget.max_candidates) {
         if (budget_stop.ok()) {
           budget_stop =
               util::Status::ResourceExhausted("candidate budget exhausted");
@@ -656,24 +648,15 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
         continue;
       }
       scratch.evaluated = 1;
-      ++st.candidates_evaluated;
-      if (trace != nullptr) trace->push_back(copy_idx);
       pending_eval_.push_back(copy_idx);
     }
     if (!hard_stop.ok()) break;  // Nothing admitted; abandon the round.
 
-    // Step 4: score this round's candidate set — the expensive similarity
-    // integrals fan out across the pool; the merge below runs on this
-    // thread in candidate order, so ranking is deterministic.
-    ScoreCandidates(pending_eval_, options, &st, &best_per_shape);
-
-    // Refresh the sorted distance list (small: one entry per shape seen).
-    best_distances.clear();
-    best_distances.reserve(best_per_shape.size());
-    for (const auto& [id, result] : best_per_shape) {
-      best_distances.push_back(result.distance);
-    }
-    std::sort(best_distances.begin(), best_distances.end());
+    // Step 4: score this round's candidate set with the shared verifier.
+    // An abandoned candidate's score exceeds min(k-th best, its shape's
+    // best), so it changes neither the ranking nor the k-th best below.
+    hard_stop = Verify(pending_eval_, options, &call, &bound, trace);
+    if (!hard_stop.ok()) break;
     ++st.rounds_completed;
 
     // Early exit: every unevaluated copy still has > beta of its vertices
@@ -682,7 +665,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     // unseen shape can displace it.
     st.final_epsilon = eps;
     if (!collect_mode && options.stop_factor > 0.0 &&
-        kth_best() <= options.stop_factor * options.beta * eps) {
+        bound.Kth() <= options.stop_factor * options.beta * eps) {
       st.stopped_early = true;
       budget_stop = util::Status::OK();  // Finished naturally this round.
       break;
@@ -703,7 +686,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   st.skipped_leaves = static_cast<size_t>(
       base_->index().stats().leaves_skipped - skipped_leaves_before);
   st.degraded = st.skipped_subtrees > 0;
-  return call.Close(best_per_shape, options,
+  return call.Close(bound.best(), options,
                     !hard_stop.ok() ? hard_stop : budget_stop,
                     st.stopped_early ? "early_exit" : "exhausted");
 }
@@ -758,69 +741,16 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
   }
 
   // Tier 2: exact verification under options.measure, in source
-  // preference order, chunked so deadline / cancel are observed between
-  // chunks without a per-candidate poll. Each candidate is verified
-  // against the abandoning bound (DESIGN.md section 14.3). Serially the
-  // bound tightens after every candidate; on the pool it is read-only
-  // while a chunk fans out and tightens in the merge, in candidate order
-  // on this thread, so only the work abandoned depends on the schedule.
-  // Pool chunks are larger so one fork-join spans ~1k candidates, most of
-  // them abandoned after a few vertices.
-  util::ThreadPool* pool = ResolvePool(options);
-  const size_t slots = pool != nullptr ? pool->MaxSlots(options.num_threads) : 1;
-  const size_t chunk_size = pool != nullptr ? 1024 : 64;
-  if (edge_scratch_.size() < slots) edge_scratch_.resize(slots);
-  std::unordered_map<ShapeId, MatchResult> best_per_shape;
+  // preference order.
   AbandonBound bound(options, &shape_best_);
-  const auto verify = [&](size_t worker, uint32_t c) {
-    const NormalizedCopy& copy = base_->copy(c);
-    return target_->BoundedScore(copy.shape, options.measure,
-                                 bound.For(copy.shape_id),
-                                 &edge_scratch_[worker]);
-  };
-  const auto fold = [&](uint32_t c, const std::optional<double>& distance) {
-    if (!distance) {
-      ++st.candidates_abandoned;
-      return;
-    }
-    const ShapeId id = base_->copy(c).shape_id;
-    FoldBest({id, *distance, c}, &best_per_shape);
-    bound.Record(id, *distance);
-  };
-  util::Status hard_stop;
-  for (size_t begin = 0; begin < candidates.size(); begin += chunk_size) {
-    hard_stop = call.control.Check();
-    if (!hard_stop.ok()) {
-      st.candidates_skipped += candidates.size() - begin;
-      break;
-    }
-    const std::span<const uint32_t> chunk(
-        candidates.data() + begin,
-        std::min(chunk_size, candidates.size() - begin));
-    if (pool != nullptr && chunk.size() > 1) {
-      verified_.resize(chunk.size());
-      pool->ParallelFor(chunk.size(), options.num_threads,
-                        [&](size_t worker, size_t i) {
-                          verified_[i] = verify(worker, chunk[i]);
-                        });
-      for (size_t i = 0; i < chunk.size(); ++i) fold(chunk[i], verified_[i]);
-    } else {
-      for (uint32_t c : chunk) fold(c, verify(0, c));
-    }
-    st.candidates_evaluated += chunk.size();
-    if (trace != nullptr) {
-      trace->insert(trace->end(), chunk.begin(), chunk.end());
-    }
-  }
-  for (const auto& [id, result] : best_per_shape) {
-    shape_best_[id] = std::numeric_limits<double>::infinity();
-  }
+  const util::Status hard_stop =
+      Verify(candidates, options, &call, &bound, trace);
 
   // A fully scored candidate set — even an approximate one — is a
   // natural "exhausted" finish.
   const util::Status stop = !hard_stop.ok() ? hard_stop : budget_stop;
   st.exhausted = stop.ok();
-  return call.Close(best_per_shape, options, stop, "exhausted");
+  return call.Close(bound.best(), options, stop, "exhausted");
 }
 
 util::Status RunMatchBatch(

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/match_types.h"
@@ -63,12 +62,9 @@ class EnvelopeMatcher {
   /// brute-force ranking under options.measure; with an approximate
   /// source (LSH, hash curves) recall is the source's.
   ///
-  /// Verification abandons, for the discrete measures, every candidate
-  /// whose partial score already exceeds min(k-th best distinct shape so
-  /// far, its shape's best so far) — or collect_threshold in collect
-  /// mode — so rankings, distances and copy indices equal full scoring
-  /// bit for bit (DESIGN.md section 14.3). No per-query memo: sources
-  /// emit each copy once.
+  /// Verification is Match's: the early-abandoning verifier of DESIGN.md
+  /// section 14.3, so rankings, distances and copy indices equal full
+  /// scoring bit for bit.
   ///
   /// Lifecycle mirrors Match: options.budget.max_candidates caps the
   /// candidate set at generation (a deterministic truncation, reported as
@@ -81,24 +77,23 @@ class EnvelopeMatcher {
 
  private:
   struct Call;
+  class AbandonBound;
 
   /// The prologue Match and MatchCandidates share once their options are
   /// valid: lifecycle entry check (an expired or cancelled query does no
-  /// work), control binding, NormalizeQuery, PrepareQueryCache.
+  /// work), control binding, NormalizeQuery, and the query target.
   util::Result<NormalizedCopy> Begin(const geom::Polyline& query,
                                      const MatchOptions& options, Call* call);
 
-  /// Rebuilds the per-query memo (component cache + query target) unless
-  /// it already serves this normalized query and similarity options.
-  void PrepareQueryCache(const geom::Polyline& q, const MatchOptions& options);
-
-  /// Scores `candidates` under options.measure (parallel across the pool
-  /// when enabled) and folds them into the best result per shape, merging
-  /// memo lookups, insertions and the fold deterministically on the
-  /// calling thread.
-  void ScoreCandidates(std::span<const uint32_t> candidates,
-                       const MatchOptions& options, MatchStats* stats,
-                       std::unordered_map<ShapeId, MatchResult>* best);
+  /// The one verifier (DESIGN.md section 14.3): scores `candidates` in
+  /// order under options.measure against `bound`, in chunks (fanned out
+  /// across the pool when enabled) with a deadline / cancel poll before
+  /// each, and records the survivors in `bound` in candidate order on the
+  /// calling thread. Returns the stop that cut it short, counting the
+  /// unverified rest as skipped.
+  util::Status Verify(std::span<const uint32_t> candidates,
+                      const MatchOptions& options, Call* call,
+                      AbandonBound* bound, AccessTrace* trace);
 
   friend class EnvelopeMatcherTestPeer;
 
@@ -117,26 +112,17 @@ class EnvelopeMatcher {
   };
   std::vector<CopyScratch> copies_;
 
-  // Per-query scoring state, keyed by the normalized query: the query
-  // target (the distance target of every *-ToQuery component and of the
-  // envelope membership test) and a memo of computed components keyed by
-  // copy_index * 4 + MeasureComponent. Both survive across Match calls
-  // with the same query, so re-matching (e.g. the tombstone-slack retries
-  // of DynamicShapeBase) never re-integrates a copy it has already
-  // scored.
+  // The normalized query as the distance target of every scored copy and
+  // of the envelope membership test; rebuilt by Begin.
   std::unique_ptr<QueryTarget> target_;
-  std::unordered_map<uint64_t, double> eval_cache_;
 
-  // Scratch reused across rounds (no steady-state allocation).
+  // Copies admitted in the current round (reused across rounds).
   std::vector<uint32_t> pending_eval_;
-  std::vector<double> pending_distances_;
-  std::vector<uint64_t> missing_keys_;
-  std::vector<uint32_t> missing_slots_;
-  std::vector<double> missing_values_;
 
-  // MatchCandidates scratch: each shape's best verified distance in the
-  // current call (+inf when unseen; reset at exit), one edge store per
-  // pool slot for the from-query direction, and a chunk's verdicts.
+  // Verifier scratch: each shape's best verified distance in the current
+  // call (+inf when unseen; AbandonBound resets it on every exit), one
+  // edge store per pool slot for the from-query direction, and a chunk's
+  // verdicts.
   std::vector<double> shape_best_;
   std::vector<geom::EdgeSoA> edge_scratch_;
   std::vector<std::optional<double>> verified_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "geom/distance.h"
@@ -80,6 +79,11 @@ std::optional<double> AbandoningAverage(const std::vector<geom::Point>& points,
     if (sum / n > threshold) return std::nullopt;
   }
   return sum / n;
+}
+
+bool IsContinuous(MatchMeasure measure) {
+  return measure == MatchMeasure::kContinuousSymmetric ||
+         measure == MatchMeasure::kContinuousDirected;
 }
 
 /// All of A's vertex min-distances to B in one batched kernel call.
@@ -182,26 +186,6 @@ double PartialHausdorff(const Polyline& a, const Polyline& b,
                   PartialDirectedHausdorff(b, a, fraction));
 }
 
-size_t ComponentsOf(MatchMeasure measure, MeasureComponent out[2]) {
-  switch (measure) {
-    case MatchMeasure::kContinuousSymmetric:
-      out[0] = MeasureComponent::kContinuousToQuery;
-      out[1] = MeasureComponent::kContinuousFromQuery;
-      return 2;
-    case MatchMeasure::kContinuousDirected:
-      out[0] = MeasureComponent::kContinuousToQuery;
-      return 1;
-    case MatchMeasure::kDiscreteSymmetric:
-      out[0] = MeasureComponent::kDiscreteToQuery;
-      out[1] = MeasureComponent::kDiscreteFromQuery;
-      return 2;
-    case MatchMeasure::kDiscreteDirected:
-      out[0] = MeasureComponent::kDiscreteToQuery;
-      return 1;
-  }
-  return 0;
-}
-
 QueryTarget::QueryTarget(const Polyline& query,
                          const SimilarityOptions& options)
     : query_(query), options_(options) {
@@ -212,31 +196,11 @@ QueryTarget::QueryTarget(const Polyline& query,
   }
 }
 
-double QueryTarget::Component(const Polyline& copy,
-                              MeasureComponent component) const {
-  switch (component) {
-    case MeasureComponent::kContinuousToQuery:
-      return grid_ != nullptr ? AvgMinDistance(copy, *grid_, options_)
-                              : AvgMinDistance(copy, *soa_, options_);
-    case MeasureComponent::kContinuousFromQuery:
-      return AvgMinDistance(query_, copy, options_);
-    case MeasureComponent::kDiscreteToQuery:
-      return grid_ != nullptr ? DiscreteAvgMinDistance(copy, *grid_)
-                              : DiscreteAvgMinDistance(copy, *soa_);
-    case MeasureComponent::kDiscreteFromQuery:
-      return DiscreteAvgMinDistance(query_, copy);
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
 std::optional<double> QueryTarget::BoundedScore(const Polyline& copy,
                                                 MatchMeasure measure,
                                                 double threshold,
                                                 geom::EdgeSoA* scratch) const {
-  if (measure == MatchMeasure::kContinuousSymmetric ||
-      measure == MatchMeasure::kContinuousDirected) {
-    return Score(copy, measure);
-  }
+  if (IsContinuous(measure)) return Score(copy, measure);
   const std::optional<double> to_query = AbandoningAverage(
       copy.vertices(), [this](geom::Point p) { return Distance(p); },
       threshold);
@@ -256,11 +220,19 @@ std::optional<double> QueryTarget::BoundedScore(const Polyline& copy,
 }
 
 double QueryTarget::Score(const Polyline& copy, MatchMeasure measure) const {
-  MeasureComponent components[2];
-  const size_t n = ComponentsOf(measure, components);
-  if (n == 0) return std::numeric_limits<double>::infinity();
-  const double first = Component(copy, components[0]);
-  return n == 2 ? std::max(first, Component(copy, components[1])) : first;
+  const bool continuous = IsContinuous(measure);
+  const double to_query =
+      continuous ? (grid_ != nullptr ? AvgMinDistance(copy, *grid_, options_)
+                                     : AvgMinDistance(copy, *soa_, options_))
+                 : (grid_ != nullptr ? DiscreteAvgMinDistance(copy, *grid_)
+                                     : DiscreteAvgMinDistance(copy, *soa_));
+  if (measure == MatchMeasure::kContinuousDirected ||
+      measure == MatchMeasure::kDiscreteDirected) {
+    return to_query;
+  }
+  return std::max(to_query, continuous
+                                ? AvgMinDistance(query_, copy, options_)
+                                : DiscreteAvgMinDistance(query_, copy));
 }
 
 }  // namespace geosir::core

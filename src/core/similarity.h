@@ -2,7 +2,6 @@
 #define GEOSIR_CORE_SIMILARITY_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -108,20 +107,6 @@ enum class MatchMeasure {
   kDiscreteDirected,
 };
 
-/// The four directed halves the ranking measures are composed from.
-/// Scoring (and memoizing) at this granularity lets the symmetric
-/// measures share work with their directed counterparts.
-enum class MeasureComponent : uint32_t {
-  kContinuousToQuery = 0,    // h_avg(copy, q)
-  kContinuousFromQuery = 1,  // h_avg(q, copy)
-  kDiscreteToQuery = 2,
-  kDiscreteFromQuery = 3,
-};
-
-/// The directed components `measure` is the max of (one or two), in
-/// to-query, from-query order. Returns how many were written.
-size_t ComponentsOf(MatchMeasure measure, MeasureComponent out[2]);
-
 /// A normalized query prepared once as the distance target of every
 /// database copy scored against it: an EdgeGrid over its boundary at
 /// >= grid_min_edges edges, a flat EdgeSoA below. Both answer every
@@ -133,20 +118,14 @@ class QueryTarget {
  public:
   QueryTarget(const geom::Polyline& query, const SimilarityOptions& options);
 
-  const geom::Polyline& query() const { return query_; }
-  const SimilarityOptions& options() const { return options_; }
-  bool has_grid() const { return grid_ != nullptr; }
-
   /// Exact distance from `p` to the query boundary.
   double Distance(geom::Point p) const {
     return grid_ != nullptr ? grid_->Distance(p) : soa_->MinDistance(p);
   }
 
-  /// One directed component of `copy` against the query.
-  double Component(const geom::Polyline& copy,
-                   MeasureComponent component) const;
-
-  /// `measure` of `copy` against the query: the max of its components.
+  /// `measure` of `copy` against the query: the to-query direction
+  /// (h_avg(copy, q) or its discrete variant), and for the symmetric
+  /// measures the max of it and the from-query direction.
   double Score(const geom::Polyline& copy, MatchMeasure measure) const;
 
   /// Score, or nullopt once it is proven to exceed `threshold` (the

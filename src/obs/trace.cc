@@ -74,7 +74,8 @@ std::string QueryTrace::ToJson() const {
     out += ",\"vertices_accepted\":" + std::to_string(r.vertices_accepted);
     out += ",\"candidates_admitted\":" + std::to_string(r.candidates_admitted);
     out += ",\"candidates_skipped\":" + std::to_string(r.candidates_skipped);
-    out += ",\"eval_cache_hits\":" + std::to_string(r.eval_cache_hits);
+    out += ",\"candidates_abandoned\":" +
+           std::to_string(r.candidates_abandoned);
     out += ",\"index_nodes_visited\":" + std::to_string(r.index_nodes_visited);
     out += ",\"subtrees_skipped\":" + std::to_string(r.subtrees_skipped);
     out += "}";

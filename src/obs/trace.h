@@ -19,7 +19,7 @@ struct RoundTrace {
   uint64_t vertices_accepted = 0;
   uint64_t candidates_admitted = 0;
   uint64_t candidates_skipped = 0;
-  uint64_t eval_cache_hits = 0;
+  uint64_t candidates_abandoned = 0;  // Dropped by the verifier early.
   /// External backends only: node blocks pinned (== block reads modulo
   /// buffer hits) and subtrees skipped under degradation, this round.
   uint64_t index_nodes_visited = 0;

@@ -1,11 +1,15 @@
 // Differential tests of the early-abandoning verifier behind
-// EnvelopeMatcher::MatchCandidates (DESIGN.md section 14.3): on a seeded
-// base of 10^3 shapes, some stored twice so exact distance ties exist,
-// every ranking must equal a test-local fold of QueryTarget::Score over
-// the same candidates in source order — bit for bit on shape id, distance
-// and copy index — for all four measures, k in {1, 10}, collect mode,
-// 1 and 4 threads, and the exhaustive and LSH sources. A deadline that
-// expires mid-scan must leave the ranking of the scanned prefix.
+// EnvelopeMatcher::MatchCandidates and EnvelopeMatcher::Match (DESIGN.md
+// section 14.3): on a seeded base of 10^3 shapes, some stored twice so
+// exact distance ties exist, every ranking must equal a test-local fold
+// of QueryTarget::Score over the same candidates in the same order — the
+// source's for MatchCandidates, the envelope rounds' admission order
+// (Match's AccessTrace) for Match — bit for bit on shape id, distance and
+// copy index, for all four measures, k in {1, 10}, collect mode, and 1
+// and 4 threads; MatchCandidates also under the exhaustive and LSH
+// sources. A deadline that expires mid-scan must leave the ranking of the
+// scanned prefix, and Match's early exit must agree with its stop rule
+// evaluated on the full-scoring ranking, also at k = NumShapes.
 
 #include <chrono>
 #include <cmath>
@@ -97,20 +101,28 @@ struct Scored {
   std::vector<double> scores;
 };
 
-Scored ScoreAll(const ShapeBase& base, const Polyline& query,
-                CandidateSource* source, MatchMeasure measure) {
+Scored ScoreInFull(const ShapeBase& base, const Polyline& query,
+                   std::vector<uint32_t> candidates, MatchMeasure measure) {
   Scored out;
+  out.candidates = std::move(candidates);
   auto qnorm = NormalizeQuery(query);
   EXPECT_TRUE(qnorm.ok());
-  MatchOptions options;
-  EXPECT_TRUE(source->Generate(qnorm->shape, 0, options, &out.candidates,
-                               nullptr)
-                  .ok());
-  const QueryTarget target(qnorm->shape, options.similarity);
+  const QueryTarget target(qnorm->shape, MatchOptions{}.similarity);
   for (uint32_t c : out.candidates) {
     out.scores.push_back(target.Score(base.copy(c).shape, measure));
   }
   return out;
+}
+
+Scored ScoreAll(const ShapeBase& base, const Polyline& query,
+                CandidateSource* source, MatchMeasure measure) {
+  auto qnorm = NormalizeQuery(query);
+  EXPECT_TRUE(qnorm.ok());
+  std::vector<uint32_t> candidates;
+  EXPECT_TRUE(
+      source->Generate(qnorm->shape, 0, MatchOptions{}, &candidates, nullptr)
+          .ok());
+  return ScoreInFull(base, query, std::move(candidates), measure);
 }
 
 /// The reference ranking: FoldBest over the first `prefix` candidates in
@@ -211,6 +223,123 @@ INSTANTIATE_TEST_SUITE_P(
                                          MatchMeasure::kDiscreteSymmetric,
                                          MatchMeasure::kDiscreteDirected),
                        ::testing::Bool()));
+
+class AbandoningMatchTest : public ::testing::TestWithParam<MatchMeasure> {};
+
+TEST_P(AbandoningMatchTest, MatchEqualsFullScoringOfItsAdmittedCandidates) {
+  const MatchMeasure measure = GetParam();
+  const Fixture& f = SharedFixture();
+  util::ThreadPool pool(4);
+
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    // Collect mode's threshold sits exactly on the 15th best shape's
+    // distance, so the strict abandon rule meets a tie at the boundary.
+    MatchOptions top_options;
+    top_options.measure = measure;
+    top_options.k = 15;
+    EnvelopeMatcher top_matcher(&f.base);
+    auto top = top_matcher.Match(f.queries[q], top_options);
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    ASSERT_FALSE(top->empty());
+    const double collect = top->back().distance;
+
+    struct Mode {
+      const char* name;
+      size_t k;
+      double collect_threshold;
+    };
+    for (const Mode& mode : {Mode{"k=1", 1, -1.0}, Mode{"k=10", 10, -1.0},
+                             Mode{"collect", 0, collect}}) {
+      AccessTrace serial_trace;
+      for (size_t threads : {1, 4}) {
+        MatchOptions options;
+        options.measure = measure;
+        options.k = mode.k;
+        options.collect_threshold = mode.collect_threshold;
+        options.num_threads = threads;
+        options.pool = &pool;
+        EnvelopeMatcher matcher(&f.base);
+        MatchStats stats;
+        AccessTrace trace;
+        auto got = matcher.Match(f.queries[q], options, &stats, &trace);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const std::string what = "q" + std::to_string(q) + " " + mode.name +
+                                 " threads=" + std::to_string(threads);
+        ASSERT_FALSE(got->empty()) << what;
+        EXPECT_EQ(stats.candidates_evaluated, trace.size()) << what;
+        EXPECT_EQ(stats.eval_cache_hits, 0u) << what;
+        if (threads == 1) {
+          serial_trace = trace;
+        } else {
+          EXPECT_EQ(serial_trace, trace) << what;
+        }
+        const Scored scored = ScoreInFull(f.base, f.queries[q], trace, measure);
+        ExpectSame(Reference(f.base, scored, scored.candidates.size(), mode.k,
+                             mode.collect_threshold),
+                   *got, what);
+        if (!IsDiscrete(measure)) {
+          EXPECT_EQ(stats.candidates_abandoned, 0u) << what;
+        } else if (mode.collect_threshold > 0.0) {
+          EXPECT_GT(stats.candidates_abandoned, 0u) << what;
+        }
+        EXPECT_LE(stats.candidates_abandoned, trace.size()) << what;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Measures, AbandoningMatchTest,
+    ::testing::Values(MatchMeasure::kContinuousSymmetric,
+                      MatchMeasure::kContinuousDirected,
+                      MatchMeasure::kDiscreteSymmetric,
+                      MatchMeasure::kDiscreteDirected));
+
+// At k = NumShapes the k-th best exists only once every shape has been
+// verified, and at k = NumShapes + 1 never: Match's early exit must fire
+// exactly when its stop rule, kth <= stop_factor * beta * eps, holds on
+// the full-scoring ranking at the final epsilon.
+TEST(AbandoningMatchStopTest, EarlyExitFollowsTheStopRuleAtKNearTheShapeCount) {
+  util::Rng rng(2024);
+  workload::PolygonGenOptions gen;
+  const Polyline prototype = workload::RandomStarPolygon(&rng, gen);
+  ShapeBase base;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        base.AddShape(workload::JitterVertices(prototype, 0.01, &rng)).ok());
+  }
+  ASSERT_TRUE(base.Finalize().ok());
+  const Polyline query = workload::JitterVertices(prototype, 0.01, &rng);
+
+  for (MatchMeasure measure :
+       {MatchMeasure::kDiscreteSymmetric, MatchMeasure::kDiscreteDirected}) {
+    for (size_t k : {base.NumShapes(), base.NumShapes() + 1}) {
+      MatchOptions options;
+      options.measure = measure;
+      options.k = k;
+      EnvelopeMatcher matcher(&base);
+      MatchStats stats;
+      AccessTrace trace;
+      auto got = matcher.Match(query, options, &stats, &trace);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string what = "k=" + std::to_string(k) + " measure " +
+                               std::to_string(static_cast<int>(measure));
+      const Scored scored = ScoreInFull(base, query, trace, measure);
+      const std::vector<MatchResult> want =
+          Reference(base, scored, scored.candidates.size(), k, -1);
+      ExpectSame(want, *got, what);
+      const bool rule = want.size() >= k &&
+                        want[k - 1].distance <= options.stop_factor *
+                                                    options.beta *
+                                                    stats.final_epsilon;
+      EXPECT_EQ(stats.stopped_early, rule) << what;
+      EXPECT_NE(stats.stopped_early, stats.exhausted) << what;
+      // The fixture is tight enough for the exit to fire once every
+      // shape is in; a k beyond the shape count never fills.
+      EXPECT_EQ(stats.stopped_early, k == base.NumShapes()) << what;
+    }
+  }
+}
 
 TEST(AbandoningVerifierDeadlineTest, MidScanStopRanksTheScannedPrefix) {
   const Fixture& f = SharedFixture();

@@ -357,19 +357,19 @@ TEST(MatcherTraceTest, RoundDeltasSumToMatchStats) {
   EXPECT_TRUE(trace.termination() == "early_exit" ||
               trace.termination() == "exhausted")
       << trace.termination();
-  uint64_t reported = 0, accepted = 0, admitted = 0, cache_hits = 0;
+  uint64_t reported = 0, accepted = 0, admitted = 0, abandoned = 0;
   for (const RoundTrace& round : trace.rounds()) {
     reported += round.vertices_reported;
     accepted += round.vertices_accepted;
     admitted += round.candidates_admitted;
-    cache_hits += round.eval_cache_hits;
+    abandoned += round.candidates_abandoned;
     EXPECT_GT(round.epsilon, 0.0);
     EXPECT_GE(round.elapsed_ms, 0.0);
   }
   EXPECT_EQ(reported, stats.vertices_reported);
   EXPECT_EQ(accepted, stats.vertices_accepted);
   EXPECT_EQ(admitted, stats.candidates_evaluated);
-  EXPECT_EQ(cache_hits, stats.eval_cache_hits);
+  EXPECT_EQ(abandoned, stats.candidates_abandoned);
 }
 
 TEST(MatcherTraceTest, ArmedSlowLogCapturesQueriesWithoutCallerTrace) {

@@ -160,50 +160,6 @@ TEST_F(ParallelMatcherTest, MatchBatchAgreesWithSequentialMatchLoop) {
   }
 }
 
-TEST_F(ParallelMatcherTest, RepeatedMatchHitsTheEvalMemo) {
-  MatchOptions options;
-  options.measure = MatchMeasure::kContinuousSymmetric;
-  EnvelopeMatcher matcher(fixture_->base.get());
-  MatchStats first_stats;
-  auto first = matcher.Match(fixture_->queries[0], options, &first_stats);
-  ASSERT_TRUE(first.ok());
-  ASSERT_GT(first_stats.candidates_evaluated, 0u);
-  EXPECT_EQ(first_stats.eval_cache_hits, 0u);
-
-  // Same query again: every component the first pass integrated must come
-  // out of the memo (this is what makes DynamicShapeBase's tombstone
-  // slack retries cheap).
-  MatchStats second_stats;
-  auto second = matcher.Match(fixture_->queries[0], options, &second_stats);
-  ASSERT_TRUE(second.ok());
-  EXPECT_GT(second_stats.eval_cache_hits, 0u);
-  ExpectIdentical(*first, *second);
-
-  // A different query invalidates the memo.
-  MatchStats third_stats;
-  auto third = matcher.Match(fixture_->queries[1], options, &third_stats);
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third_stats.eval_cache_hits, 0u);
-}
-
-TEST_F(ParallelMatcherTest, SymmetricMeasureReusesDirectedComponent) {
-  EnvelopeMatcher matcher(fixture_->base.get());
-  MatchOptions directed;
-  directed.measure = MatchMeasure::kContinuousDirected;
-  MatchStats directed_stats;
-  ASSERT_TRUE(
-      matcher.Match(fixture_->queries[0], directed, &directed_stats).ok());
-
-  // The symmetric measure on the same query shares the h_avg(copy, q)
-  // halves already in the memo.
-  MatchOptions symmetric;
-  symmetric.measure = MatchMeasure::kContinuousSymmetric;
-  MatchStats symmetric_stats;
-  ASSERT_TRUE(
-      matcher.Match(fixture_->queries[0], symmetric, &symmetric_stats).ok());
-  EXPECT_GT(symmetric_stats.eval_cache_hits, 0u);
-}
-
 TEST(DynamicBatchTest, MatchBatchAgreesWithMatchLoop) {
   util::Rng rng(99);
   workload::PolygonGenOptions gen;

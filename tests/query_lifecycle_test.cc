@@ -50,19 +50,25 @@ const MatchMeasure kAllMeasures[] = {
 };
 
 // Instrumentation plan shared with InstrumentedIndex: fires `token` after
-// the `cancel_at`-th vertex report, optionally sleeps per triangle query
-// (to make wall-clock tests slow enough to interrupt). The range-search
-// phase is single-threaded, so plain counters suffice.
+// the `cancel_at`-th vertex report, fails the `fail_at_triangle`-th
+// triangle query with a (non-lifecycle) I/O-style error, optionally
+// sleeps per triangle query (to make wall-clock tests slow enough to
+// interrupt). The range-search phase is single-threaded, so plain
+// counters suffice.
 struct CancelPlan {
   util::CancellationToken* token = nullptr;
   uint64_t cancel_at = 0;  // Report ordinal that triggers Cancel; 0 = never.
   uint64_t seen = 0;
+  uint64_t fail_at_triangle = 0;  // Triangle ordinal that fails; 0 = never.
+  uint64_t triangles = 0;
   int64_t sleep_us_per_triangle = 0;
 
   void Reset(util::CancellationToken* t, uint64_t at) {
     token = t;
     cancel_at = at;
     seen = 0;
+    fail_at_triangle = 0;
+    triangles = 0;
   }
 };
 
@@ -90,6 +96,10 @@ class InstrumentedIndex : public rangesearch::SimplexIndex {
     }
     if (plan_->token != nullptr && plan_->token->cancelled()) {
       last_error_ = util::Status::Cancelled(plan_->token->reason());
+      return;
+    }
+    if (++plan_->triangles == plan_->fail_at_triangle) {
+      last_error_ = util::Status::Unavailable("injected index fault");
       return;
     }
     inner_->ReportInTriangle(t, [&](const rangesearch::IndexedPoint& ip) {
@@ -323,6 +333,64 @@ TEST_F(QueryLifecycleTest, MidFlightCancelIsDeterministicAndPartial) {
   ExpectSameLifecycleStats(stat_pair[0], stat_pair[1]);
   // The cancelled run returns exactly the completed rounds' ranking.
   ExpectIdentical(outcomes[0], probe_results);
+}
+
+TEST_F(QueryLifecycleTest, IndexErrorMidMatchLeavesTheMatcherClean) {
+  // A discrete measure, so the verifier abandons candidates against the
+  // per-shape bests: bests left behind by a failed query would make the
+  // matcher's next query drop copies it must rank.
+  MatchOptions options;
+  options.measure = MatchMeasure::kDiscreteSymmetric;
+  options.k = 5;
+  options.stop_factor = 0.3;  // Delay the early exit past first candidates.
+  const Polyline& query = fixture_->queries[0];
+
+  // Probe: the smallest round budget that already holds ranked
+  // candidates, and the triangle queries those rounds made. The fault
+  // hits the next round's first triangle.
+  EnvelopeMatcher probe(fixture_->base.get());
+  uint64_t fail_at = 0;
+  for (size_t rounds = 1; fail_at == 0; ++rounds) {
+    MatchOptions bounded = options;
+    bounded.budget.max_rounds = rounds;
+    fixture_->plan.Reset(nullptr, 0);
+    MatchStats stats;
+    auto result = probe.Match(query, bounded, &stats);
+    if (!result.ok()) {  // Nothing ranked yet.
+      ASSERT_EQ(result.status().code(), util::StatusCode::kResourceExhausted);
+      continue;
+    }
+    ASSERT_TRUE(stats.partial)
+        << "query finished before a later round could fail";
+    fail_at = fixture_->plan.triangles + 1;
+  }
+
+  EnvelopeMatcher matcher(fixture_->base.get());
+  fixture_->plan.Reset(nullptr, 0);
+  fixture_->plan.fail_at_triangle = fail_at;
+  MatchStats failed_stats;
+  auto failed = matcher.Match(query, options, &failed_stats);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kUnavailable);
+  EXPECT_GE(failed_stats.iterations, 2u);
+  EXPECT_GT(failed_stats.candidates_evaluated, 0u);
+  fixture_->plan = CancelPlan{};
+
+  // The next query on the same matcher is a jittered copy of the failed
+  // one, so it ranks the same shapes at nearby distances.
+  util::Rng rng(11);
+  const Polyline next = workload::JitterVertices(query, 0.01, &rng);
+  MatchStats reused_stats;
+  auto reused = matcher.Match(next, options, &reused_stats);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EnvelopeMatcher fresh_matcher(fixture_->base.get());
+  MatchStats fresh_stats;
+  auto fresh = fresh_matcher.Match(next, options, &fresh_stats);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_FALSE(fresh->empty());
+  ExpectIdentical(*fresh, *reused);
+  ExpectSameLifecycleStats(fresh_stats, reused_stats);
+  EXPECT_EQ(fresh_stats.candidates_abandoned, reused_stats.candidates_abandoned);
 }
 
 TEST_F(QueryLifecycleTest, BudgetStopsAreBitIdenticalAcrossThreadCounts) {
