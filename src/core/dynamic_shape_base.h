@@ -2,7 +2,6 @@
 #define GEOSIR_CORE_DYNAMIC_SHAPE_BASE_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/dynamic_base_journal.h"
@@ -17,16 +16,16 @@ namespace geosir::core {
 /// queries. The paper's structures are static (its related-work section
 /// points at Berchtold et al. for "dynamic environments, where insert and
 /// delete operations occur frequently"); this wrapper brings the standard
-/// database recipe to the envelope matcher:
+/// database recipe to the envelope matcher, all in one *main* ShapeBase:
 ///
-///   * a finalized *main* ShapeBase with its range-search index,
-///   * a small unindexed *delta* of recent inserts, matched by direct
-///     evaluation,
-///   * a tombstone set for deletes,
+///   * its indexed shapes, from the last compaction (or checkpoint),
+///   * a small *delta* of recent inserts: its unindexed tail,
+///   * tombstones for deletes: its removal marks,
 ///   * automatic compaction (rebuild of the main base) once the delta or
 ///     the tombstones exceed a fraction of the total.
 ///
-/// Ids handed out by this class are stable across compactions.
+/// Every query is one matcher pass through the one verifier. Ids handed
+/// out by this class are stable across compactions.
 ///
 /// EXTENSION (tiered retrieval, DESIGN.md section 14): observer of
 /// applied mutations. Hooked at the shared infallible mutation tails, so
@@ -54,7 +53,7 @@ class DynamicShapeBase {
     MatchOptions match;
     /// Compact when delta shapes exceed this fraction of live shapes.
     double max_delta_fraction = 0.25;
-    /// Compact when tombstones exceed this fraction of main shapes.
+    /// Compact when tombstones exceed this fraction of indexed shapes.
     double max_tombstone_fraction = 0.25;
     /// Never compact below this many delta shapes (avoids rebuilding a
     /// tiny base on every insert).
@@ -73,12 +72,13 @@ class DynamicShapeBase {
   /// deleting an unknown id fails.
   util::Status Remove(uint64_t id);
 
-  /// k-best retrieval over the live shapes (main minus tombstones plus
-  /// delta). Distances use options.match.measure. `stats` (optional)
-  /// receives the main-base matcher diagnostics, including the
-  /// `degraded` flag when an external index backend skipped unreadable
-  /// subtrees — a degraded Match is still correctly ordered over the
-  /// candidates that were readable.
+  /// k-best retrieval over the live shapes: one EnvelopeMatcher::Match
+  /// over the main base, delta included, tombstones excluded. Distances
+  /// use options.match.measure; in collect mode the threshold applies and
+  /// the result is still cut to k. `stats` (optional) receives the
+  /// matcher diagnostics, including the `degraded` flag when an external
+  /// index backend skipped unreadable subtrees — a degraded Match is
+  /// still correctly ordered over the candidates that were readable.
   util::Result<std::vector<std::pair<uint64_t, double>>> Match(
       const geom::Polyline& query, size_t k = 1,
       MatchStats* stats = nullptr);
@@ -97,9 +97,9 @@ class DynamicShapeBase {
   /// candidate id set — the second tier behind an approximate pre-filter
   /// (lsh::DynamicLshIndex) that produced `ids`. Each live id is scored
   /// directly under options().match.measure (best over its normalized
-  /// copies); unknown, deleted or restored-placeholder ids are skipped
-  /// silently, since approximate candidate sets may be stale by one
-  /// mutation. Results are the k best (distance, id)-ordered pairs.
+  /// copies in the main base); unknown, deleted or restored-placeholder
+  /// ids are skipped silently, since approximate candidate sets may be
+  /// stale by one mutation. Results are the k best (distance, id)-ordered pairs.
   /// Deterministic: ids are processed in the given order and the
   /// candidate budget (options().match.budget.max_candidates) cuts
   /// deterministically; deadline / cancel follow the usual
@@ -113,10 +113,8 @@ class DynamicShapeBase {
   /// replayed ones.
   void SetObserver(DynamicBaseObserver* observer) { observer_ = observer; }
 
-  /// Normalized copies of a known live id: the cached delta copies when
-  /// present, otherwise recomputed from the stored boundary (records
-  /// absorbed into main drop their cache at compaction). For observer
-  /// state rebuilds after RestoreCheckpoint.
+  /// Normalized copies of a live id, as the main base stores them. For
+  /// observer state rebuilds after RestoreCheckpoint.
   util::Result<std::vector<NormalizedCopy>> NormalizedCopiesOf(
       uint64_t id) const;
 
@@ -151,88 +149,66 @@ class DynamicShapeBase {
   util::Status ReplayRemove(uint64_t id);
 
   /// The id the next Insert will return.
-  uint64_t NextId() const { return records_.size(); }
+  uint64_t NextId() const { return shape_of_.size(); }
   bool IsLive(uint64_t id) const {
-    return id < records_.size() && !records_[id].deleted;
+    return id < shape_of_.size() && shape_of_[id] != kDeleted;
   }
   /// Stable ids of all live shapes, ascending.
   std::vector<uint64_t> LiveIds() const;
-  /// Original (un-normalized) boundary of a known id (live or deleted
-  /// placeholder boundaries of restored tombstones are empty).
+  /// Original (un-normalized) boundary, image and label of a live id;
+  /// empty (and kNoImage) for a deleted or unknown one.
   const geom::Polyline& boundary(uint64_t id) const {
-    return records_[id].boundary;
+    return ShapeOf(id).boundary;
   }
-  ImageId image(uint64_t id) const { return records_[id].image; }
-  const std::string& label(uint64_t id) const { return records_[id].label; }
+  ImageId image(uint64_t id) const { return ShapeOf(id).image; }
+  const std::string& label(uint64_t id) const { return ShapeOf(id).label; }
 
   /// Mutable match configuration, including the query-lifecycle controls
   /// (deadline / cancel_token / budget). A deadline is an absolute time
   /// point, so arm it right before the Match or MatchBatch call it should
   /// bound. Lifecycle stops follow the matcher's partial-result contract:
   /// best-so-far rankings come back with MatchStats::partial set (delta
-  /// shapes not yet scored count as candidates_skipped); a stop before
+  /// copies not yet scored count as candidates_skipped); a stop before
   /// anything was ranked returns the stop status instead.
   MatchOptions& match_options() { return options_.match; }
   const MatchOptions& match_options() const { return options_.match; }
 
   size_t NumLive() const { return live_count_; }
-  size_t NumDelta() const { return delta_ids_.size(); }
-  size_t NumTombstones() const { return tombstones_; }
+  size_t NumDelta() const { return delta_; }
+  /// Deleted shapes still held by the main base, indexed or in the tail.
+  size_t NumTombstones() const { return main_->NumRemoved(); }
   size_t NumCompactions() const { return compactions_; }
 
  private:
-  struct Record {
-    geom::Polyline boundary;
-    ImageId image = kNoImage;
-    std::string label;
-    bool deleted = false;
-    bool in_main = false;
-    /// Normalized copies, cached at insert so delta queries do not pay
-    /// normalization per query. Cleared once the record enters main.
-    std::vector<NormalizedCopy> copies;
-  };
+  /// shape_of_ entry of a deleted (or restored-placeholder) id.
+  static constexpr ShapeId kDeleted = static_cast<ShapeId>(-1);
 
+  /// The main-base shape of a live id; an empty Shape otherwise.
+  const Shape& ShapeOf(uint64_t id) const;
   util::Status MaybeCompact();
-  /// The fallible half of an insert: normalized copies for the delta
-  /// cache. Insert and ReplayInsert run this BEFORE the journal write so
-  /// a journaled insert can never fail to apply (a record that applied in
-  /// the live process but aborted replay would make the store
-  /// unrecoverable until a checkpoint absorbed it).
-  util::Result<std::vector<NormalizedCopy>> NormalizeBoundary(
-      const geom::Polyline& boundary) const;
-  /// Shared infallible tail of Insert and ReplayInsert: appends the
-  /// record (with its pre-normalized copies) to the delta and updates
+  /// Shared infallible tail of Insert and ReplayInsert: appends the shape
+  /// and its copies, normalized before the journal write (so a journaled
+  /// insert can never fail to apply), to the main base's tail and updates
   /// gauges. Never journals, never compacts.
-  uint64_t ApplyInsert(geom::Polyline boundary, ImageId image,
-                       std::string label, std::vector<NormalizedCopy> copies);
+  uint64_t ApplyInsert(Shape shape, std::vector<NormalizedCopy> copies);
   /// Shared tail of Remove and ReplayRemove (same no-journal rule).
   void ApplyRemove(uint64_t id);
-  /// Best options().match.measure distance over the normalized copies of
-  /// live record `id`: its cached delta copies, or the main base's pooled
-  /// copies once compaction dropped them; nullopt when it has neither.
-  std::optional<double> BestDistance(uint64_t id,
-                                     const QueryTarget& target) const;
-  /// The pipeline Match, MatchBatch and MatchIds share: validation, the
-  /// lifecycle entry check, the envelope search over the main base when
-  /// `matcher` is non-null (MatchBatch runs one per worker slot), direct
-  /// scoring of the live `ids` against one query target — under the
-  /// candidate budget when `budgeted` — and RankAndClose. Mutates only
+  /// Match and MatchBatch: one `matcher` pass over the main base (its
+  /// tail included), mapped to stable ids and cut to k. Mutates only
   /// `matcher`'s scratch.
   util::Result<std::vector<std::pair<uint64_t, double>>> MatchWith(
-      EnvelopeMatcher* matcher, const std::vector<uint64_t>& ids,
-      bool budgeted, const geom::Polyline& query, size_t k,
+      EnvelopeMatcher* matcher, const geom::Polyline& query, size_t k,
       MatchStats* stats) const;
 
   Options options_;
   DynamicBaseJournal* journal_ = nullptr;  // Non-owning.
   DynamicBaseObserver* observer_ = nullptr;  // Non-owning.
-  std::vector<Record> records_;        // Indexed by stable id.
-  std::unique_ptr<ShapeBase> main_;    // Finalized; may be null (empty).
+  std::unique_ptr<ShapeBase> main_;    // Finalized: index, tail, marks.
   std::unique_ptr<EnvelopeMatcher> matcher_;
+  std::vector<ShapeId> shape_of_;      // Stable id -> main ShapeId.
   std::vector<uint64_t> main_ids_;     // Main ShapeId -> stable id.
-  std::vector<uint64_t> delta_ids_;    // Stable ids not yet in main.
   size_t live_count_ = 0;
-  size_t tombstones_ = 0;              // Deleted records still in main.
+  size_t delta_ = 0;                   // Live shapes in the tail.
   size_t compactions_ = 0;
 };
 

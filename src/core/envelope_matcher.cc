@@ -319,9 +319,7 @@ util::Status ValidateRanking(const MatchOptions& options, size_t k) {
 
 EnvelopeMatcher::EnvelopeMatcher(const ShapeBase* base) : base_(base) {
   vertex_epoch_.assign(base_->NumVertices(), 0);
-  copies_.assign(base_->NumCopies(), CopyScratch{});
-  shape_best_.assign(base_->NumShapes(),
-                     std::numeric_limits<double>::infinity());
+  copies_.assign(base_->NumIndexedCopies(), CopyScratch{});
 }
 
 util::Result<NormalizedCopy> EnvelopeMatcher::Begin(const Polyline& query,
@@ -339,6 +337,9 @@ util::Result<NormalizedCopy> EnvelopeMatcher::Begin(const Polyline& query,
   // The search runs on this thread, so a thread-local binding reaches
   // exactly this query's index work.
   call->scoped.emplace(&call->control);
+  // The tail may have grown since the last call.
+  shape_best_.resize(base_->NumShapes(),
+                     std::numeric_limits<double>::infinity());
   GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
   target_ = std::make_unique<QueryTarget>(qnorm.shape, options.similarity);
   return qnorm;
@@ -429,7 +430,10 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   const QueryTarget& target = *target_;
 
   const double n = static_cast<double>(std::max<size_t>(1, base_->NumVertices()));
-  const double p = static_cast<double>(std::max<size_t>(1, base_->NumCopies()));
+  // n and p count the indexed vertices and copies only, removal-marked
+  // ones included: the envelope schedule is the static base's.
+  const double p =
+      static_cast<double>(std::max<size_t>(1, base_->NumIndexedCopies()));
   const double l_q = std::max(1e-9, q.Perimeter());
 
   // Step 1: initial envelope width chosen so the expected number of pool
@@ -525,7 +529,8 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     round_base.active = false;
   };
 
-  while (true) {
+  // No rounds when nothing is indexed: the tail below is the whole base.
+  while (base_->NumIndexedCopies() > 0) {
     flush_round_trace();
     // Round-entry checkpoint (also the per-round budget gate).
     if (hard_stop.ok()) hard_stop = call.control.Check();
@@ -626,6 +631,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
       CopyScratch& scratch = copies_[copy_idx];
       if (scratch.evaluated) continue;
       const NormalizedCopy& copy = base_->copy(copy_idx);
+      if (base_->removed(copy.shape_id)) continue;  // Never a candidate.
       const size_t num_vertices = copy.shape.size();
       const size_t needed = static_cast<size_t>(
           std::ceil((1.0 - options.beta) * static_cast<double>(num_vertices)));
@@ -686,8 +692,26 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
   st.skipped_leaves = static_cast<size_t>(
       base_->index().stats().leaves_skipped - skipped_leaves_before);
   st.degraded = st.skipped_subtrees > 0;
-  return call.Close(bound.best(), options,
-                    !hard_stop.ok() ? hard_stop : budget_stop,
+
+  // The unindexed tail: no envelope reaches its copies, so the live ones
+  // are verified directly against the rounds' bound. A stopping query
+  // skips them.
+  util::Status stop = !hard_stop.ok() ? hard_stop : budget_stop;
+  pending_eval_.clear();
+  for (auto c = static_cast<uint32_t>(base_->NumIndexedCopies());
+       c < base_->NumCopies(); ++c) {
+    if (!base_->removed(base_->copy(c).shape_id)) pending_eval_.push_back(c);
+  }
+  if (!stop.ok()) {
+    st.candidates_skipped += pending_eval_.size();
+  } else {
+    stop = Verify(pending_eval_, options, &call, &bound, trace);
+  }
+  if (call.trace != nullptr && !pending_eval_.empty()) {
+    call.trace->AddEvent("tail", std::to_string(pending_eval_.size()) +
+                                     " unindexed copies");
+  }
+  return call.Close(bound.best(), options, stop,
                     st.stopped_early ? "early_exit" : "exhausted");
 }
 
@@ -735,6 +759,12 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
     call.Finish(StopReason(generate));
     return generate;
   }
+  // Whatever the source emits, a removed shape is never verified.
+  if (base_->NumRemoved() > 0) {
+    std::erase_if(candidates, [this](uint32_t c) {
+      return base_->removed(base_->copy(c).shape_id);
+    });
+  }
   util::Status budget_stop;
   if (gen_stats.truncated) {
     budget_stop = util::Status::ResourceExhausted("candidate budget exhausted");
@@ -771,10 +801,8 @@ util::Status RunMatchBatch(
   // parallel regions degrade to inline execution, which keeps per-query
   // results identical to a serial loop.
   std::vector<std::unique_ptr<EnvelopeMatcher>> matchers(slots);
-  if (base != nullptr) {
-    for (auto& matcher : matchers) {
-      matcher = std::make_unique<EnvelopeMatcher>(base);
-    }
+  for (auto& matcher : matchers) {
+    matcher = std::make_unique<EnvelopeMatcher>(base);
   }
   std::vector<util::Status> errors(n);
   std::vector<uint8_t> started(n, 0);

@@ -26,7 +26,8 @@ class CandidateSource;
 /// results for every thread count. A matcher *instance* still owns
 /// per-query scratch (epoch-stamped counters sized to the base), so use
 /// one instance per concurrently-matching thread — MatchBatch does this
-/// for you. The underlying ShapeBase is read-only during matching.
+/// for you. The underlying ShapeBase is read-only during matching; its
+/// tail and removal marks may change between calls.
 class EnvelopeMatcher {
  public:
   /// `base` must outlive the matcher and be finalized.
@@ -38,6 +39,10 @@ class EnvelopeMatcher {
   /// MatchStats::exhausted set; no tier falls back to geometric hashing
   /// (Section 3) on its own — that fallback is ROADMAP item 3.
   /// options.k must be positive outside collect mode (kInvalidArgument).
+  ///
+  /// Removed shapes are never candidates. After the last round the live
+  /// copies of the base's unindexed tail go through the same verifier,
+  /// unless the query is stopping (then they count as skipped).
   ///
   /// Lifecycle: options.deadline / cancel_token / budget terminate the
   /// search cooperatively (checked at round, candidate and amortized
@@ -64,7 +69,8 @@ class EnvelopeMatcher {
   ///
   /// Verification is Match's: the early-abandoning verifier of DESIGN.md
   /// section 14.3, so rankings, distances and copy indices equal full
-  /// scoring bit for bit.
+  /// scoring bit for bit. Copies of removed shapes are dropped from the
+  /// source's candidates.
   ///
   /// Lifecycle mirrors Match: options.budget.max_candidates caps the
   /// candidate set at generation (a deterministic truncation, reported as
@@ -148,8 +154,8 @@ util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
 /// DynamicShapeBase::MatchBatch, with the lifecycle contract documented
 /// above: calls `run_query(matcher, i, stats_i)` for every i in [0, n)
 /// across the pool `options` selects, one EnvelopeMatcher over `base` per
-/// worker slot (null when `base` is). Lifecycle stops returned by
-/// run_query do not fail the batch; other errors do, first by query order.
+/// worker slot. Lifecycle stops returned by run_query do not fail the
+/// batch; other errors do, first by query order.
 util::Status RunMatchBatch(
     const ShapeBase* base, size_t n, const MatchOptions& options,
     std::vector<MatchStats>* stats,

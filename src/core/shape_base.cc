@@ -66,13 +66,21 @@ util::Result<ShapeId> ShapeBase::AddShape(geom::Polyline boundary,
 
   GEOSIR_ASSIGN_OR_RETURN(std::vector<NormalizedCopy> copies,
                           NormalizeShape(shape, options_.normalize));
+  return AddNormalized(std::move(shape), std::move(copies));
+}
 
+ShapeId ShapeBase::AddNormalized(Shape shape,
+                                 std::vector<NormalizedCopy> copies) {
+  shape.id = static_cast<ShapeId>(shapes_.size());
   shape_copies_.push_back({});
   std::vector<uint32_t>& copy_ids = shape_copies_.back();
   for (NormalizedCopy& copy : copies) {
     const uint32_t copy_idx = static_cast<uint32_t>(copies_.size());
     copy_ids.push_back(copy_idx);
-    for (size_t vi = 0; vi < copy.shape.size(); ++vi) {
+    copy.shape_id = shape.id;
+    // Tail copies (appended after Finalize) are verified directly and
+    // pool no vertices.
+    for (size_t vi = 0; !finalized() && vi < copy.shape.size(); ++vi) {
       // The two axis vertices sit exactly at (0,0) and (1,0) in every
       // copy — and on every normalized query's boundary, i.e. inside
       // every envelope. Indexing them would add ~2 * NumCopies()
@@ -87,7 +95,14 @@ util::Result<ShapeId> ShapeBase::AddShape(geom::Polyline boundary,
     copies_.push_back(std::move(copy));
   }
   shapes_.push_back(std::move(shape));
+  removed_.push_back(0);
   return shapes_.back().id;
+}
+
+void ShapeBase::MarkRemoved(ShapeId id) {
+  if (removed_[id] != 0) return;
+  removed_[id] = 1;
+  ++num_removed_;
 }
 
 util::Result<std::vector<std::vector<MatchResult>>> ShapeBase::MatchBatch(
@@ -107,6 +122,8 @@ util::Status ShapeBase::Finalize() {
   }
   index_->Build(std::move(pending_points_));
   pending_points_.clear();
+  indexed_shapes_ = shapes_.size();
+  indexed_copies_ = copies_.size();
   return util::Status::OK();
 }
 

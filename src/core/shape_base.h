@@ -50,6 +50,12 @@ struct ShapeBaseOptions {
 /// vertices pooled into one point set indexed by a simplex range-search
 /// structure. Build-then-query: AddShape() until done, Finalize() once,
 /// then the matcher runs queries against it.
+///
+/// EXTENSION (dynamic bases): a finalized base may still grow an
+/// unindexed *tail* (AddNormalized after Finalize) and carry per-shape
+/// removal marks (MarkRemoved). The matcher verifies the live tail copies
+/// directly and never ranks a removed shape. Both change only on the
+/// writer side, never while a matcher runs on the base.
 class ShapeBase {
  public:
   explicit ShapeBase(ShapeBaseOptions options = {});
@@ -62,9 +68,20 @@ class ShapeBase {
                                  ImageId image = kNoImage,
                                  std::string label = "");
 
+  /// Stores a shape whose copies were already normalized under
+  /// options().normalize (their shape_id is set here). Before Finalize()
+  /// the copies are indexed like AddShape's; after it they join the
+  /// unindexed tail. Infallible.
+  ShapeId AddNormalized(Shape shape, std::vector<NormalizedCopy> copies);
+
   /// Builds the vertex index. No AddShape() calls are allowed afterwards.
   util::Status Finalize();
   bool finalized() const { return index_ != nullptr; }
+
+  /// Marks a shape removed (idempotent): no entry point ranks it again.
+  void MarkRemoved(ShapeId id);
+  bool removed(ShapeId id) const { return removed_[id] != 0; }
+  size_t NumRemoved() const { return num_removed_; }
 
   const ShapeBaseOptions& options() const { return options_; }
 
@@ -72,6 +89,10 @@ class ShapeBase {
   size_t NumCopies() const { return copies_.size(); }
   /// Total number of pooled normalized vertices (the paper's n).
   size_t NumVertices() const { return vertex_copy_.size(); }
+  /// Set by Finalize(): shapes [0, NumIndexedShapes()) and copies
+  /// [0, NumIndexedCopies()) are indexed, the rest form the tail.
+  size_t NumIndexedShapes() const { return indexed_shapes_; }
+  size_t NumIndexedCopies() const { return indexed_copies_; }
 
   const Shape& shape(ShapeId id) const { return shapes_[id]; }
   const std::vector<Shape>& shapes() const { return shapes_; }
@@ -107,6 +128,10 @@ class ShapeBase {
   std::vector<NormalizedCopy> copies_;
   std::vector<std::vector<uint32_t>> shape_copies_;
   std::vector<uint32_t> vertex_copy_;         // Pooled vertex -> copy index.
+  std::vector<uint8_t> removed_;              // Per shape.
+  size_t num_removed_ = 0;
+  size_t indexed_shapes_ = 0;
+  size_t indexed_copies_ = 0;
   std::vector<rangesearch::IndexedPoint> pending_points_;
   std::unique_ptr<rangesearch::SimplexIndex> index_;
 };

@@ -201,12 +201,20 @@ std::optional<double> QueryTarget::BoundedScore(const Polyline& copy,
                                                 double threshold,
                                                 geom::EdgeSoA* scratch) const {
   if (IsContinuous(measure)) return Score(copy, measure);
+  // Kernel work is counted locally and flushed once per direction; the
+  // grid counts its own.
+  size_t evals = 0;
   const std::optional<double> to_query = AbandoningAverage(
-      copy.vertices(), [this](geom::Point p) { return Distance(p); },
+      copy.vertices(),
+      [this, &evals](geom::Point p) {
+        ++evals;
+        return Distance(p);
+      },
       threshold);
+  if (soa_ != nullptr) geom::CountBatchedEdges(evals * soa_->num_edges());
   if (!to_query || measure == MatchMeasure::kDiscreteDirected) return to_query;
   scratch->Assign(copy);
-  size_t evals = 0;
+  evals = 0;
   const std::optional<double> from_query = AbandoningAverage(
       query_.vertices(),
       [scratch, &evals](geom::Point p) {

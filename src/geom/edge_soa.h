@@ -63,7 +63,7 @@ class EdgeSoA {
 
   /// Batched multi-query-point variant: out[i] = MinDistance(points[i]).
   /// One call feeds a whole vertex run through the kernel and flushes a
-  /// single geosir_geom_batched_edges_total increment.
+  /// single geosir_geom_kernel_batched_edges_total increment.
   void MinDistances(const Point* points, size_t count, double* out) const;
 
  private:

@@ -16,7 +16,8 @@ namespace geosir::lsh {
 /// LshIndex keyed by stable ids, so candidates stay fresh under
 /// interleaved mutation — including journal recovery and replication
 /// follower replay, which run through the same observer hook. Query
-/// candidates feed DynamicShapeBase::MatchIds for exact verification.
+/// candidates feed DynamicShapeBase::MatchIds, which scores them from the
+/// main base's stored copies (delta and compacted shapes alike).
 ///
 /// Thread safety is the wrapped LshIndex's: concurrent Query vs.
 /// OnInsert/OnRemove is safe; the observer callbacks themselves arrive on

@@ -86,6 +86,12 @@ class BufferReader {
 
 util::Result<std::vector<uint8_t>> SerializeShapeBase(
     const core::ShapeBase& base) {
+  // A checkpoint lists exactly its stable ids: one per stored shape.
+  if ((base.finalized() && base.NumShapes() > base.NumIndexedShapes()) ||
+      base.NumRemoved() > 0) {
+    return util::Status::FailedPrecondition(
+        "cannot serialize a base with an unindexed tail or removal marks");
+  }
   for (const core::Shape& shape : base.shapes()) {
     if (shape.label.size() > kMaxLabelLen) {
       return util::Status::InvalidArgument(

@@ -30,7 +30,9 @@ namespace geosir::storage {
 
 /// Serializes every shape of `base` (finalized or not) to v2 bytes.
 /// Labels longer than 65535 bytes are rejected with kInvalidArgument
-/// (they cannot be represented in the record header).
+/// (they cannot be represented in the record header), and a base with an
+/// unindexed tail or removal marks with kFailedPrecondition (a loaded
+/// checkpoint would not list exactly the live shapes).
 util::Result<std::vector<uint8_t>> SerializeShapeBase(
     const core::ShapeBase& base);
 

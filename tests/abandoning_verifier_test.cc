@@ -7,12 +7,18 @@
 // (Match's AccessTrace) for Match — bit for bit on shape id, distance and
 // copy index, for all four measures, k in {1, 10}, collect mode, and 1
 // and 4 threads; MatchCandidates also under the exhaustive and LSH
-// sources. A deadline that expires mid-scan must leave the ranking of the
+// sources. Both entry points also run over a dynamic variant of the base
+// (some shapes removal-marked, an unindexed tail appended): no removed
+// copy may be verified, and Match's trace ends with every live tail copy.
+// A deadline that expires mid-scan must leave the ranking of the
 // scanned prefix, and Match's early exit must agree with its stop rule
-// evaluated on the full-scoring ranking, also at k = NumShapes.
+// evaluated on the full-scoring ranking, also at k = NumShapes. One
+// verifier call must count its kernel edges in both directions.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -25,7 +31,9 @@
 #include "core/normalize.h"
 #include "core/shape_base.h"
 #include "core/similarity.h"
+#include "geom/kernel_dispatch.h"
 #include "lsh/lsh_index.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/noise.h"
@@ -40,15 +48,29 @@ constexpr size_t kPrototypes = 100;
 constexpr size_t kInstances = 10;  // Jittered instances per prototype.
 constexpr size_t kDuplicated = 10;  // Instances stored a second time.
 
+ShapeBaseOptions FixtureOptions() {
+  ShapeBaseOptions options;
+  options.normalize.max_axes = 4;  // Keeps the continuous scans short.
+  return options;
+}
+
 struct Fixture {
-  ShapeBase base{[] {
-    ShapeBaseOptions options;
-    options.normalize.max_axes = 4;  // Keeps the continuous scans short.
-    return options;
-  }()};
+  ShapeBase base{FixtureOptions()};
+  // The same shapes, then some removal-marked and an unindexed tail
+  // appended after Finalize, as a dynamic base holds them.
+  ShapeBase dynamic{FixtureOptions()};
   std::unique_ptr<lsh::LshCandidateSource> lsh;
   std::vector<Polyline> queries;
 };
+
+/// Appends `boundary` to `base`'s unindexed tail.
+void AppendToTail(ShapeBase* base, const Polyline& boundary) {
+  Shape shape;
+  shape.boundary = boundary;
+  auto copies = NormalizeShape(shape, base->options().normalize);
+  ASSERT_TRUE(copies.ok()) << copies.status().ToString();
+  base->AddNormalized(std::move(shape), std::move(copies).value());
+}
 
 const Fixture& SharedFixture() {
   static const Fixture* fixture = [] {
@@ -79,8 +101,10 @@ const Fixture& SharedFixture() {
     for (size_t i = 0; i < kDuplicated; ++i) instances.push_back(instances[i]);
     for (const Polyline& shape : instances) {
       EXPECT_TRUE(f->base.AddShape(shape).ok());
+      EXPECT_TRUE(f->dynamic.AddShape(shape).ok());
     }
     EXPECT_TRUE(f->base.Finalize().ok());
+    EXPECT_TRUE(f->dynamic.Finalize().ok());
     auto lsh = lsh::LshCandidateSource::Build(&f->base, lsh::LshOptions{});
     EXPECT_TRUE(lsh.ok());
     f->lsh = std::move(lsh).value();
@@ -89,6 +113,24 @@ const Fixture& SharedFixture() {
       f->queries.push_back(
           workload::JitterVertices(prototypes[q * 3], 0.01, &rng));
     }
+    // The dynamic variant: every other instance of the query prototypes
+    // (0 and 3) and the duplicate of instance 0 removed; a tail of fresh
+    // instances of both prototypes plus verbatim copies of instances 0-3
+    // (exact ties with indexed shapes), its first shape removed too.
+    for (ShapeId id = 0; id < kPrototypes * kInstances - kDuplicated; ++id) {
+      const size_t prototype = id % kPrototypes;
+      if ((prototype == 0 || prototype == 3) && (id / kPrototypes) % 2 == 1) {
+        f->dynamic.MarkRemoved(id);
+      }
+    }
+    f->dynamic.MarkRemoved(kPrototypes * kInstances - kDuplicated);
+    const ShapeId first_tail = static_cast<ShapeId>(f->dynamic.NumShapes());
+    for (size_t i = 0; i < 8; ++i) {
+      AppendToTail(&f->dynamic, workload::JitterVertices(
+                                    prototypes[(i % 2) * 3], 0.01, &rng));
+    }
+    for (size_t i = 0; i < 4; ++i) AppendToTail(&f->dynamic, instances[i]);
+    f->dynamic.MarkRemoved(first_tail);
     return f;
   }();
   return *fixture;
@@ -114,6 +156,8 @@ Scored ScoreInFull(const ShapeBase& base, const Polyline& query,
   return out;
 }
 
+/// The source's candidates minus removed shapes' copies, which
+/// MatchCandidates drops before verifying.
 Scored ScoreAll(const ShapeBase& base, const Polyline& query,
                 CandidateSource* source, MatchMeasure measure) {
   auto qnorm = NormalizeQuery(query);
@@ -122,7 +166,24 @@ Scored ScoreAll(const ShapeBase& base, const Polyline& query,
   EXPECT_TRUE(
       source->Generate(qnorm->shape, 0, MatchOptions{}, &candidates, nullptr)
           .ok());
+  std::erase_if(candidates, [&](uint32_t c) {
+    return base.removed(base.copy(c).shape_id);
+  });
   return ScoreInFull(base, query, std::move(candidates), measure);
+}
+
+/// The live copies of `base`'s unindexed tail, in copy order.
+std::vector<uint32_t> LiveTail(const ShapeBase& base) {
+  std::vector<uint32_t> tail;
+  for (size_t c = base.NumIndexedCopies(); c < base.NumCopies(); ++c) {
+    if (!base.removed(base.copy(c).shape_id)) tail.push_back(c);
+  }
+  return tail;
+}
+
+/// Names the base a case runs over.
+std::string BaseName(const Fixture& f, const ShapeBase* base) {
+  return base == &f.base ? "static " : "dynamic ";
 }
 
 /// The reference ranking: FoldBest over the first `prefix` candidates in
@@ -163,54 +224,59 @@ class AbandoningVerifierTest : public ::testing::TestWithParam<Param> {};
 TEST_P(AbandoningVerifierTest, MatchesFullScoringFold) {
   const auto [measure, use_lsh] = GetParam();
   const Fixture& f = SharedFixture();
-  ExactEnumerationSource exhaustive(&f.base);
-  CandidateSource* source =
-      use_lsh ? static_cast<CandidateSource*>(f.lsh.get()) : &exhaustive;
   util::ThreadPool pool(4);
+  // The LSH tables index the static base only.
+  std::vector<const ShapeBase*> bases = {&f.base};
+  if (!use_lsh) bases.push_back(&f.dynamic);
 
-  for (size_t q = 0; q < f.queries.size(); ++q) {
-    const Scored scored = ScoreAll(f.base, f.queries[q], source, measure);
-    ASSERT_FALSE(scored.candidates.empty());
-    const size_t n = scored.candidates.size();
-    // Collect mode's threshold sits exactly on the 15th best shape's
-    // distance, so the strict abandon rule meets a tie at the boundary.
-    const std::vector<MatchResult> top = Reference(f.base, scored, n, 15, -1);
-    ASSERT_FALSE(top.empty());
-    const double collect = top.back().distance;
+  for (const ShapeBase* base : bases) {
+    ExactEnumerationSource exhaustive(base);
+    CandidateSource* source =
+        use_lsh ? static_cast<CandidateSource*>(f.lsh.get()) : &exhaustive;
+    for (size_t q = 0; q < f.queries.size(); ++q) {
+      const Scored scored = ScoreAll(*base, f.queries[q], source, measure);
+      ASSERT_FALSE(scored.candidates.empty());
+      const size_t n = scored.candidates.size();
+      // Collect mode's threshold sits exactly on the 15th best shape's
+      // distance, so the strict abandon rule meets a tie at the boundary.
+      const std::vector<MatchResult> top = Reference(*base, scored, n, 15, -1);
+      ASSERT_FALSE(top.empty());
+      const double collect = top.back().distance;
 
-    struct Mode {
-      const char* name;
-      size_t k;
-      double collect_threshold;
-    };
-    for (const Mode& mode : {Mode{"k=1", 1, -1.0}, Mode{"k=10", 10, -1.0},
-                             Mode{"collect", 0, collect}}) {
-      const std::vector<MatchResult> want =
-          Reference(f.base, scored, n, mode.k, mode.collect_threshold);
-      for (size_t threads : {1, 4}) {
-        MatchOptions options;
-        options.measure = measure;
-        options.k = mode.k;
-        options.collect_threshold = mode.collect_threshold;
-        options.num_threads = threads;
-        options.pool = &pool;
-        EnvelopeMatcher matcher(&f.base);
-        MatchStats stats;
-        auto got = matcher.MatchCandidates(f.queries[q], source, options,
-                                           &stats);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const std::string what = std::string(source->name()) + " q" +
-                                 std::to_string(q) + " " + mode.name +
-                                 " threads=" + std::to_string(threads);
-        ExpectSame(want, *got, what);
-        EXPECT_EQ(stats.candidates_evaluated, n) << what;
-        EXPECT_EQ(stats.eval_cache_hits, 0u) << what;
-        if (!IsDiscrete(measure)) {
-          EXPECT_EQ(stats.candidates_abandoned, 0u) << what;
-        } else if (!use_lsh) {
-          EXPECT_GT(stats.candidates_abandoned, 0u) << what;
+      struct Mode {
+        const char* name;
+        size_t k;
+        double collect_threshold;
+      };
+      for (const Mode& mode : {Mode{"k=1", 1, -1.0}, Mode{"k=10", 10, -1.0},
+                               Mode{"collect", 0, collect}}) {
+        const std::vector<MatchResult> want =
+            Reference(*base, scored, n, mode.k, mode.collect_threshold);
+        for (size_t threads : {1, 4}) {
+          MatchOptions options;
+          options.measure = measure;
+          options.k = mode.k;
+          options.collect_threshold = mode.collect_threshold;
+          options.num_threads = threads;
+          options.pool = &pool;
+          EnvelopeMatcher matcher(base);
+          MatchStats stats;
+          auto got = matcher.MatchCandidates(f.queries[q], source, options,
+                                             &stats);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const std::string what = BaseName(f, base) + source->name() + " q" +
+                                   std::to_string(q) + " " + mode.name +
+                                   " threads=" + std::to_string(threads);
+          ExpectSame(want, *got, what);
+          EXPECT_EQ(stats.candidates_evaluated, n) << what;
+          EXPECT_EQ(stats.eval_cache_hits, 0u) << what;
+          if (!IsDiscrete(measure)) {
+            EXPECT_EQ(stats.candidates_abandoned, 0u) << what;
+          } else if (!use_lsh) {
+            EXPECT_GT(stats.candidates_abandoned, 0u) << what;
+          }
+          EXPECT_LE(stats.candidates_abandoned, n) << what;
         }
-        EXPECT_LE(stats.candidates_abandoned, n) << what;
       }
     }
   }
@@ -231,58 +297,72 @@ TEST_P(AbandoningMatchTest, MatchEqualsFullScoringOfItsAdmittedCandidates) {
   const Fixture& f = SharedFixture();
   util::ThreadPool pool(4);
 
-  for (size_t q = 0; q < f.queries.size(); ++q) {
-    // Collect mode's threshold sits exactly on the 15th best shape's
-    // distance, so the strict abandon rule meets a tie at the boundary.
-    MatchOptions top_options;
-    top_options.measure = measure;
-    top_options.k = 15;
-    EnvelopeMatcher top_matcher(&f.base);
-    auto top = top_matcher.Match(f.queries[q], top_options);
-    ASSERT_TRUE(top.ok()) << top.status().ToString();
-    ASSERT_FALSE(top->empty());
-    const double collect = top->back().distance;
+  for (const ShapeBase* base : {&f.base, &f.dynamic}) {
+    const std::vector<uint32_t> tail = LiveTail(*base);
+    for (size_t q = 0; q < f.queries.size(); ++q) {
+      // Collect mode's threshold sits exactly on the 15th best shape's
+      // distance, so the strict abandon rule meets a tie at the boundary.
+      MatchOptions top_options;
+      top_options.measure = measure;
+      top_options.k = 15;
+      EnvelopeMatcher top_matcher(base);
+      auto top = top_matcher.Match(f.queries[q], top_options);
+      ASSERT_TRUE(top.ok()) << top.status().ToString();
+      ASSERT_FALSE(top->empty());
+      const double collect = top->back().distance;
 
-    struct Mode {
-      const char* name;
-      size_t k;
-      double collect_threshold;
-    };
-    for (const Mode& mode : {Mode{"k=1", 1, -1.0}, Mode{"k=10", 10, -1.0},
-                             Mode{"collect", 0, collect}}) {
-      AccessTrace serial_trace;
-      for (size_t threads : {1, 4}) {
-        MatchOptions options;
-        options.measure = measure;
-        options.k = mode.k;
-        options.collect_threshold = mode.collect_threshold;
-        options.num_threads = threads;
-        options.pool = &pool;
-        EnvelopeMatcher matcher(&f.base);
-        MatchStats stats;
-        AccessTrace trace;
-        auto got = matcher.Match(f.queries[q], options, &stats, &trace);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const std::string what = "q" + std::to_string(q) + " " + mode.name +
-                                 " threads=" + std::to_string(threads);
-        ASSERT_FALSE(got->empty()) << what;
-        EXPECT_EQ(stats.candidates_evaluated, trace.size()) << what;
-        EXPECT_EQ(stats.eval_cache_hits, 0u) << what;
-        if (threads == 1) {
-          serial_trace = trace;
-        } else {
-          EXPECT_EQ(serial_trace, trace) << what;
+      struct Mode {
+        const char* name;
+        size_t k;
+        double collect_threshold;
+      };
+      for (const Mode& mode : {Mode{"k=1", 1, -1.0}, Mode{"k=10", 10, -1.0},
+                               Mode{"collect", 0, collect}}) {
+        AccessTrace serial_trace;
+        for (size_t threads : {1, 4}) {
+          MatchOptions options;
+          options.measure = measure;
+          options.k = mode.k;
+          options.collect_threshold = mode.collect_threshold;
+          options.num_threads = threads;
+          options.pool = &pool;
+          EnvelopeMatcher matcher(base);
+          MatchStats stats;
+          AccessTrace trace;
+          auto got = matcher.Match(f.queries[q], options, &stats, &trace);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const std::string what = BaseName(f, base) + "q" + std::to_string(q) +
+                                   " " + mode.name +
+                                   " threads=" + std::to_string(threads);
+          ASSERT_FALSE(got->empty()) << what;
+          EXPECT_EQ(stats.candidates_evaluated, trace.size()) << what;
+          EXPECT_EQ(stats.eval_cache_hits, 0u) << what;
+          if (threads == 1) {
+            serial_trace = trace;
+          } else {
+            EXPECT_EQ(serial_trace, trace) << what;
+          }
+          for (uint32_t c : trace) {
+            EXPECT_FALSE(base->removed(base->copy(c).shape_id))
+                << what << " verified removed copy " << c;
+          }
+          // The live tail is verified last, whole.
+          ASSERT_GE(trace.size(), tail.size()) << what;
+          EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                                 trace.end() - tail.size()))
+              << what;
+          const Scored scored =
+              ScoreInFull(*base, f.queries[q], trace, measure);
+          ExpectSame(Reference(*base, scored, scored.candidates.size(), mode.k,
+                               mode.collect_threshold),
+                     *got, what);
+          if (!IsDiscrete(measure)) {
+            EXPECT_EQ(stats.candidates_abandoned, 0u) << what;
+          } else if (mode.collect_threshold > 0.0) {
+            EXPECT_GT(stats.candidates_abandoned, 0u) << what;
+          }
+          EXPECT_LE(stats.candidates_abandoned, trace.size()) << what;
         }
-        const Scored scored = ScoreInFull(f.base, f.queries[q], trace, measure);
-        ExpectSame(Reference(f.base, scored, scored.candidates.size(), mode.k,
-                             mode.collect_threshold),
-                   *got, what);
-        if (!IsDiscrete(measure)) {
-          EXPECT_EQ(stats.candidates_abandoned, 0u) << what;
-        } else if (mode.collect_threshold > 0.0) {
-          EXPECT_GT(stats.candidates_abandoned, 0u) << what;
-        }
-        EXPECT_LE(stats.candidates_abandoned, trace.size()) << what;
       }
     }
   }
@@ -381,6 +461,47 @@ TEST(AbandoningVerifierDeadlineTest, MidScanStopRanksTheScannedPrefix) {
     }
   }
   EXPECT_TRUE(saw_partial) << "no deadline landed mid-scan";
+}
+
+// geosir_geom_kernel_batched_edges_total counts every kernel edge one
+// verifier call evaluates: to-query distances against the query's edge
+// store (below grid_min_edges) as well as from-query ones against the
+// copy's scratch store, including a call abandoned after one vertex.
+TEST(AbandoningVerifierKernelCounterTest, CountsBothDirections) {
+  const Fixture& f = SharedFixture();
+  std::vector<geom::Point> octagon;
+  for (int i = 0; i < 8; ++i) {
+    octagon.push_back({std::cos(i * M_PI / 4), 1.5 * std::sin(i * M_PI / 4)});
+  }
+  auto qnorm = NormalizeQuery(Polyline::Closed(octagon));
+  ASSERT_TRUE(qnorm.ok());
+  const Polyline& q = qnorm->shape;
+  const SimilarityOptions similarity;
+  ASSERT_LT(q.NumEdges(), similarity.grid_min_edges);
+  const QueryTarget target(q, similarity);
+  const Polyline& copy = f.base.copy(0).shape;
+  obs::Counter* edges = obs::MetricRegistry::Default().GetCounter(
+      "geosir_geom_kernel_batched_edges_total",
+      "Edge evaluations routed through the batch kernels");
+  ASSERT_TRUE(obs::Armed());
+  geom::EdgeSoA scratch;
+
+  uint64_t before = edges->value();
+  ASSERT_TRUE(target
+                  .BoundedScore(copy, MatchMeasure::kDiscreteSymmetric,
+                                std::numeric_limits<double>::infinity(),
+                                &scratch)
+                  .has_value());
+  EXPECT_EQ(edges->value() - before,
+            copy.size() * q.NumEdges() + q.size() * copy.NumEdges());
+
+  // A negative threshold abandons after the first to-query vertex.
+  before = edges->value();
+  EXPECT_FALSE(target
+                   .BoundedScore(copy, MatchMeasure::kDiscreteSymmetric, -1.0,
+                                 &scratch)
+                   .has_value());
+  EXPECT_EQ(edges->value() - before, q.NumEdges());
 }
 
 }  // namespace

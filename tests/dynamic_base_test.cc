@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -7,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_shape_base.h"
+#include "core/normalize.h"
+#include "core/similarity.h"
+#include "obs/metrics.h"
 #include "storage/appendable_file.h"
 #include "storage/base_io.h"
 #include "storage/wal.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/noise.h"
 #include "workload/polygon_gen.h"
 
@@ -114,10 +120,10 @@ TEST(DynamicShapeBaseTest, TombstoneCompactionReclaims) {
 }
 
 TEST(DynamicShapeBaseTest, DeltaAndMainScoringAgreeBitForBit) {
-  // Delta shapes are scored over their cached normalized copies, compacted
-  // ones over the main base's pooled copies, and Match reads the
-  // matcher's memo; all three score against one query target, so every
-  // distance must agree exactly, for every measure.
+  // MatchIds scores delta (unindexed tail) and compacted shapes from the
+  // copies the main base stores, Match through the matcher's verifier;
+  // all of them score against one query target, so every distance must
+  // agree exactly, for every measure.
   util::Rng rng(7);
   workload::PolygonGenOptions gen;
   std::vector<Polyline> shapes;
@@ -213,6 +219,171 @@ TEST(DynamicShapeBaseTest, MixedWorkloadMatchesSnapshotSemantics) {
   }
 }
 
+constexpr MatchMeasure kMeasures[] = {
+    MatchMeasure::kContinuousSymmetric, MatchMeasure::kContinuousDirected,
+    MatchMeasure::kDiscreteSymmetric, MatchMeasure::kDiscreteDirected};
+
+/// `measure` of a live id's best stored copy, scored in full.
+double BestScore(const DynamicShapeBase& base, uint64_t id,
+                 const Polyline& query, MatchMeasure measure) {
+  auto qnorm = NormalizeQuery(query);
+  EXPECT_TRUE(qnorm.ok());
+  const QueryTarget target(qnorm->shape, base.match_options().similarity);
+  auto copies = base.NormalizedCopiesOf(id);
+  EXPECT_TRUE(copies.ok());
+  double best = std::numeric_limits<double>::infinity();
+  for (const NormalizedCopy& copy : *copies) {
+    best = std::min(best, target.Score(copy.shape, measure));
+  }
+  return best;
+}
+
+TEST(DynamicShapeBaseTest, OneMatcherPassPerQuery) {
+  // Every instance of the query's prototype is deleted — in the index and
+  // in the delta — so deleted shapes would fill the top k. Match must
+  // still be one matcher pass that never returns a deleted id.
+  util::Rng rng(11);
+  workload::PolygonGenOptions gen;
+  std::vector<Polyline> prototypes;
+  for (int p = 0; p < 20; ++p) {
+    prototypes.push_back(RandomStarPolygon(&rng, gen));
+  }
+  const Polyline query = workload::JitterVertices(prototypes[0], 0.01, &rng);
+  obs::Counter* queries = obs::MetricRegistry::Default().GetCounter(
+      "geosir_matcher_queries_total", "Match calls finished (any outcome)");
+  for (MatchMeasure measure : kMeasures) {
+    SCOPED_TRACE(static_cast<int>(measure));
+    DynamicShapeBase::Options options;
+    options.match.measure = measure;
+    DynamicShapeBase base(options);
+    std::vector<uint64_t> doomed;
+    for (int i = 0; i < 200; ++i) {
+      auto id = base.Insert(
+          workload::JitterVertices(prototypes[i % 20], 0.01, &rng));
+      ASSERT_TRUE(id.ok());
+      if (i % 20 == 0) doomed.push_back(*id);
+    }
+    ASSERT_TRUE(base.Compact().ok());
+    for (int i = 0; i < 20; ++i) {
+      auto id = base.Insert(
+          workload::JitterVertices(prototypes[i % 4], 0.01, &rng));
+      ASSERT_TRUE(id.ok());
+      if (i % 4 == 0) doomed.push_back(*id);
+    }
+    for (uint64_t id : doomed) ASSERT_TRUE(base.Remove(id).ok());
+    ASSERT_EQ(base.NumTombstones(), 15u);  // No compaction since.
+    ASSERT_EQ(base.NumDelta(), 15u);
+
+    const uint64_t before = queries->value();
+    MatchStats stats;
+    auto results = base.Match(query, 10, &stats);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    EXPECT_EQ(queries->value() - before, 1u);
+    ASSERT_EQ(results->size(), 10u);
+    for (const auto& [id, distance] : *results) {
+      ASSERT_TRUE(base.IsLive(id)) << "deleted id " << id;
+      EXPECT_EQ(distance, BestScore(base, id, query, measure)) << id;
+    }
+  }
+}
+
+TEST(DynamicShapeBaseTest, TombstoneFreeMatchEqualsStaticMatchPlusDelta) {
+  // Without tombstones, Match and MatchBatch must equal a static
+  // EnvelopeMatcher over the main shapes (same order, so ShapeId ==
+  // stable id) plus every delta shape scored in full, ranked together.
+  util::Rng rng(12);
+  workload::PolygonGenOptions gen;
+  std::vector<Polyline> prototypes;
+  for (int p = 0; p < 30; ++p) {
+    prototypes.push_back(RandomStarPolygon(&rng, gen));
+  }
+  std::vector<Polyline> main_shapes;
+  for (int i = 0; i < 180; ++i) {
+    main_shapes.push_back(
+        workload::JitterVertices(prototypes[i % 30], 0.01, &rng));
+  }
+  std::vector<Polyline> delta_shapes;
+  for (int i = 0; i < 24; ++i) {
+    delta_shapes.push_back(
+        workload::JitterVertices(prototypes[i % 4], 0.01, &rng));
+  }
+  std::vector<Polyline> queries;
+  for (int q = 0; q < 4; ++q) {
+    queries.push_back(workload::JitterVertices(prototypes[q], 0.01, &rng));
+  }
+  ShapeBaseOptions base_options;
+  base_options.normalize.max_axes = 2;  // Keeps the continuous scans short.
+  ShapeBase snapshot(base_options);
+  for (const Polyline& shape : main_shapes) {
+    ASSERT_TRUE(snapshot.AddShape(shape).ok());
+  }
+  ASSERT_TRUE(snapshot.Finalize().ok());
+  util::ThreadPool pool(4);
+
+  for (MatchMeasure measure : kMeasures) {
+    SCOPED_TRACE(static_cast<int>(measure));
+    DynamicShapeBase::Options options;
+    options.base = base_options;
+    options.match.measure = measure;
+    options.match.pool = &pool;
+    DynamicShapeBase dynamic(options);
+    for (const Polyline& shape : main_shapes) {
+      ASSERT_TRUE(dynamic.Insert(shape).ok());
+    }
+    ASSERT_TRUE(dynamic.Compact().ok());
+    for (const Polyline& shape : delta_shapes) {
+      ASSERT_TRUE(dynamic.Insert(shape).ok());
+    }
+    ASSERT_EQ(dynamic.NumDelta(), delta_shapes.size());
+
+    for (size_t k : {1, 10}) {
+      std::vector<std::vector<std::pair<uint64_t, double>>> want;
+      for (const Polyline& query : queries) {
+        MatchOptions static_options;
+        static_options.measure = measure;
+        static_options.k = k;
+        EnvelopeMatcher matcher(&snapshot);
+        auto main = matcher.Match(query, static_options);
+        ASSERT_TRUE(main.ok());
+        std::vector<std::pair<uint64_t, double>> ranked;
+        for (const MatchResult& m : *main) {
+          ranked.emplace_back(m.shape_id, m.distance);
+        }
+        auto qnorm = NormalizeQuery(query);
+        ASSERT_TRUE(qnorm.ok());
+        const QueryTarget target(qnorm->shape, static_options.similarity);
+        for (size_t d = 0; d < delta_shapes.size(); ++d) {
+          Shape shape;
+          shape.boundary = delta_shapes[d];
+          auto copies = NormalizeShape(shape, options.base.normalize);
+          ASSERT_TRUE(copies.ok());
+          double best = std::numeric_limits<double>::infinity();
+          for (const NormalizedCopy& copy : *copies) {
+            best = std::min(best, target.Score(copy.shape, measure));
+          }
+          ranked.emplace_back(main_shapes.size() + d, best);
+        }
+        RankResults(&ranked, k);
+        want.push_back(std::move(ranked));
+      }
+      for (size_t threads : {1, 4}) {
+        dynamic.match_options().num_threads = threads;
+        const std::string what =
+            "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+        auto batch = dynamic.MatchBatch(queries, k);
+        ASSERT_TRUE(batch.ok()) << what;
+        ASSERT_EQ(batch->size(), queries.size());
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto single = dynamic.Match(queries[q], k);
+          ASSERT_TRUE(single.ok()) << what;
+          EXPECT_EQ(*single, want[q]) << what << " q" << q;
+          EXPECT_EQ((*batch)[q], want[q]) << what << " q" << q;
+        }
+      }
+    }
+  }
+}
+
 TEST(BaseIoTest, SaveLoadRoundTrip) {
   ShapeBase original;
   ASSERT_TRUE(original
@@ -251,6 +422,30 @@ TEST(BaseIoTest, ErrorsSurfaced) {
   auto result = storage::LoadShapeBase(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
+}
+
+TEST(BaseIoTest, CheckpointsListExactlyTheStoredShapes) {
+  // A checkpoint names one stable id per stored shape, so a base carrying
+  // removal marks or an unindexed tail cannot be serialized.
+  ShapeBase marked;
+  ASSERT_TRUE(marked.AddShape(RegularPolygon(5, 1.0)).ok());
+  ASSERT_TRUE(marked.AddShape(RegularPolygon(6, 1.0)).ok());
+  ASSERT_TRUE(marked.Finalize().ok());
+  ASSERT_TRUE(storage::SerializeShapeBase(marked).ok());
+  marked.MarkRemoved(1);
+  EXPECT_EQ(storage::SerializeShapeBase(marked).status().code(),
+            util::StatusCode::kFailedPrecondition);
+
+  ShapeBase tailed;
+  ASSERT_TRUE(tailed.AddShape(RegularPolygon(5, 1.0)).ok());
+  ASSERT_TRUE(tailed.Finalize().ok());
+  Shape shape;
+  shape.boundary = RegularPolygon(7, 1.0);
+  auto copies = NormalizeShape(shape, tailed.options().normalize);
+  ASSERT_TRUE(copies.ok());
+  tailed.AddNormalized(std::move(shape), std::move(copies).value());
+  EXPECT_EQ(storage::SerializeShapeBase(tailed).status().code(),
+            util::StatusCode::kFailedPrecondition);
 }
 
 TEST(DurablePropertyTest, RandomizedWorkloadSurvivesRecovery) {
