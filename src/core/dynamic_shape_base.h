@@ -121,6 +121,10 @@ class DynamicShapeBase {
   /// Forces a rebuild of the main base (normally automatic).
   util::Status Compact();
 
+  /// The main base: right after Compact, exactly the live shapes in
+  /// stable-id order, which is what a checkpoint serializes.
+  const ShapeBase& main_base() const { return *main_; }
+
   // --- Durability (see storage/wal.h for the WAL implementation) ---
 
   /// Attaches a journal (non-owning; pass nullptr to detach). Once

@@ -5,12 +5,14 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 
 #include "core/candidate_source.h"
 #include "geom/distance.h"
 #include "geom/envelope.h"
+#include "geom/kernel_dispatch.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "util/query_control.h"
@@ -134,6 +136,11 @@ const char* StopReason(const util::Status& status) {
   }
 }
 
+bool IsDiscrete(MatchMeasure measure) {
+  return measure == MatchMeasure::kDiscreteSymmetric ||
+         measure == MatchMeasure::kDiscreteDirected;
+}
+
 /// Pool to run on, or null for fully serial execution.
 util::ThreadPool* ResolvePool(const MatchOptions& options) {
   if (options.num_threads <= 1) return nullptr;
@@ -229,6 +236,7 @@ struct EnvelopeMatcher::Call {
   obs::QueryTrace* trace = nullptr;
   size_t candidates_emitted = 0;  // Prefilter metrics only.
   bool any_result = false;        // Prefilter metrics only.
+  bool field_built = false;       // The matcher's field is this query's.
   std::optional<util::ScopedQueryControl> scoped;
 };
 
@@ -359,12 +367,23 @@ util::Status EnvelopeMatcher::Verify(
   util::ThreadPool* pool = ResolvePool(options);
   const size_t slots = pool != nullptr ? pool->MaxSlots(options.num_threads) : 1;
   const size_t chunk_size = pool != nullptr ? 1024 : 64;
-  if (edge_scratch_.size() < slots) edge_scratch_.resize(slots);
-  const auto verify = [&](size_t worker, uint32_t c) {
+  if (slots_.size() < slots) slots_.resize(slots);
+  // The lower-bound field (DESIGN.md section 14.3): built at most once per
+  // call, and only when a verifier call's candidates pay for the build.
+  // It is part of the first chunk's work: built on the calling thread
+  // after that chunk's deadline / cancel poll, before its fan-out, and
+  // read-only from then on.
+  const BoundField* field = call->field_built ? &field_ : nullptr;
+  const auto verify = [&](size_t worker, uint32_t c) -> std::optional<double> {
     const NormalizedCopy& copy = base_->copy(c);
-    return target_->BoundedScore(copy.shape, options.measure,
-                                 bound->For(copy.shape_id),
-                                 &edge_scratch_[worker]);
+    const double threshold = bound->For(copy.shape_id);
+    // A copy the field abandons is one BoundedScore abandons too.
+    if (field != nullptr && field->Abandons(copy.shape, threshold)) {
+      ++slots_[worker].field_dropped;
+      return std::nullopt;
+    }
+    return target_->BoundedScore(copy.shape, options.measure, threshold,
+                                 &slots_[worker].edges);
   };
   const auto fold = [&](uint32_t c, const std::optional<double>& distance) {
     if (!distance) {
@@ -373,11 +392,18 @@ util::Status EnvelopeMatcher::Verify(
     }
     bound->Record({base_->copy(c).shape_id, *distance, c});
   };
+  util::Status stop;
   for (size_t begin = 0; begin < candidates.size(); begin += chunk_size) {
-    util::Status stop = call->control.Check();
+    stop = call->control.Check();
     if (!stop.ok()) {
       st.candidates_skipped += candidates.size() - begin;
-      return stop;
+      break;
+    }
+    if (field == nullptr && IsDiscrete(options.measure) &&
+        candidates.size() >= field_min_candidates_) {
+      field_.Build(*target_, base_->options().normalize.alpha);
+      call->field_built = true;
+      field = &field_;
     }
     const std::span<const uint32_t> chunk = candidates.subspan(
         begin, std::min(chunk_size, candidates.size() - begin));
@@ -396,7 +422,21 @@ util::Status EnvelopeMatcher::Verify(
       trace->insert(trace->end(), chunk.begin(), chunk.end());
     }
   }
-  return util::Status::OK();
+  if (field != nullptr) {
+    size_t dropped = 0;
+    for (VerifierSlot& slot : slots_) {
+      dropped += slot.field_dropped;
+      slot.field_dropped = 0;
+    }
+    if (call->trace != nullptr) {
+      call->trace->AddEvent("field", std::to_string(field->num_nodes()) +
+                                         " nodes, dropped " +
+                                         std::to_string(dropped) + " of " +
+                                         std::to_string(candidates.size()) +
+                                         " copies");
+    }
+  }
+  return stop;
 }
 
 util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
@@ -559,6 +599,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
 
     const geom::EnvelopeRingCover cover =
         geom::BuildEnvelopeRingCover(q, eps_prev, eps);
+    size_t ring_evals = 0;  // Flushed to the kernel counter once per round.
     for (const geom::Triangle& tri : cover.triangles) {
       base_->index().ReportInTriangle(
           tri, [&](const rangesearch::IndexedPoint& ip) {
@@ -584,6 +625,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
             const uint32_t copy_idx = base_->CopyOfVertex(ip.id);
             if (vertex_epoch_[ip.id] == epoch_) return;  // Deduplicated.
             // Exact membership: the cover is a superset of the ring.
+            ++ring_evals;
             const double d = target.Distance(ip.p);
             if (d > eps) return;
             vertex_epoch_[ip.id] = epoch_;
@@ -619,6 +661,7 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
       }
       if (!hard_stop.ok() || !budget_stop.ok()) break;
     }
+    geom::CountBatchedEdges(ring_evals * target.flat_edges());
 
     // Step 3: collect copies that reached the (1 - beta) occupancy
     // threshold and have not been evaluated yet. When the query is

@@ -81,6 +81,14 @@ class EnvelopeMatcher {
       const MatchOptions& options = {}, MatchStats* stats = nullptr,
       AccessTrace* trace = nullptr);
 
+  /// The verifier builds a query's lower-bound field (BoundField, DESIGN.md
+  /// section 14.3) for the discrete measures once one verifier call holds
+  /// at least this many candidates: the measured break-even of the field's
+  /// build time against its per-copy saving. At 2e4 shapes the exhaustive
+  /// tier (1.8e5 copies) is far above it; envelope rounds (a handful) and
+  /// LSH candidate sets (at most ~3e3) are below.
+  static constexpr size_t kFieldMinCandidates = 5300;
+
  private:
   struct Call;
   class AbandonBound;
@@ -127,11 +135,18 @@ class EnvelopeMatcher {
 
   // Verifier scratch: each shape's best verified distance in the current
   // call (+inf when unseen; AbandonBound resets it on every exit), one
-  // edge store per pool slot for the from-query direction, and a chunk's
-  // verdicts.
+  // slot per pool worker, a chunk's verdicts, and the query's lower-bound
+  // field (valid once the call has built it).
+  struct alignas(64) VerifierSlot {  // Own cache line: workers write it.
+    geom::EdgeSoA edges;             // The copy, for the from-query direction.
+    size_t field_dropped = 0;        // Copies the field abandoned.
+  };
   std::vector<double> shape_best_;
-  std::vector<geom::EdgeSoA> edge_scratch_;
+  std::vector<VerifierSlot> slots_;
   std::vector<std::optional<double>> verified_;
+  BoundField field_;
+  // kFieldMinCandidates; tests lower it to force the field on small bases.
+  size_t field_min_candidates_ = kFieldMinCandidates;
 };
 
 /// Runs independent queries concurrently across the pool configured in

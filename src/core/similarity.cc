@@ -86,6 +86,11 @@ bool IsContinuous(MatchMeasure measure) {
          measure == MatchMeasure::kContinuousDirected;
 }
 
+/// Absolute slack per field value for the kernel's rounding and the node
+/// lookup's (DESIGN.md section 14.3): every coordinate involved is O(1),
+/// so each is a few 1e-16 at most.
+constexpr double kFieldMargin = 1e-12;
+
 /// All of A's vertex min-distances to B in one batched kernel call.
 std::vector<double> VertexMinDistances(const Polyline& a,
                                        const geom::EdgeSoA& b) {
@@ -241,6 +246,39 @@ double QueryTarget::Score(const Polyline& copy, MatchMeasure measure) const {
   return std::max(to_query, continuous
                                 ? AvgMinDistance(query_, copy, options_)
                                 : DiscreteAvgMinDistance(query_, copy));
+}
+
+void BoundField::Build(const QueryTarget& target, double alpha) {
+  // Any box is sound (a vertex outside it contributes 0); an alpha a base
+  // could not have normalized with gets the true diameter's.
+  if (!(alpha >= 0.0 && alpha < 1.0)) alpha = 0.0;
+  const double r = 1.0 / (1.0 - alpha);
+  const double width = 2.0 * r - 1.0;
+  const double height = 2.0 * std::sqrt(r * r - 0.25);
+  rows_ = 1 + static_cast<size_t>(std::ceil((kColumns - 1) * height / width));
+  x0_ = 1.0 - r;
+  y0_ = -0.5 * height;
+  hx_ = width / (kColumns - 1);
+  hy_ = height / static_cast<double>(rows_ - 1);
+  inv_hx_ = 1.0 / hx_;
+  inv_hy_ = 1.0 / hy_;
+  x_offset_ = 1.5 - x0_ * inv_hx_;
+  y_offset_ = 1.5 - y0_ * inv_hy_;
+  max_ty_ = static_cast<double>(rows_ + 1);
+  // A point lies within half a cell diagonal of its nearest node, and the
+  // distance to the query is 1-Lipschitz.
+  const double shrink = 0.5 * std::hypot(hx_, hy_) + kFieldMargin;
+  table_.assign((rows_ + 2) * kStride, 0.0);
+  for (size_t i = 0; i < num_nodes(); ++i) {
+    const size_t entry = (i / kColumns + 1) * kStride + i % kColumns + 1;
+    table_[entry] = std::max(0.0, target.Distance(Node(i)) - shrink);
+  }
+  geom::CountBatchedEdges(num_nodes() * target.flat_edges());
+}
+
+geom::Point BoundField::Node(size_t i) const {
+  return {x0_ + static_cast<double>(i % kColumns) * hx_,
+          y0_ + static_cast<double>(i / kColumns) * hy_};
 }
 
 }  // namespace geosir::core

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "geom/edge_grid.h"
 #include "geom/edge_soa.h"
@@ -123,6 +124,11 @@ class QueryTarget {
     return grid_ != nullptr ? grid_->Distance(p) : soa_->MinDistance(p);
   }
 
+  /// The kernel edges one Distance call scans on the flat path, which
+  /// callers count themselves (evaluations × this, flushed once); 0 when
+  /// the grid answers, since it counts its own.
+  size_t flat_edges() const { return soa_ != nullptr ? soa_->num_edges() : 0; }
+
   /// `measure` of `copy` against the query: the to-query direction
   /// (h_avg(copy, q) or its discrete variant), and for the symmetric
   /// measures the max of it and the from-query direction.
@@ -146,6 +152,72 @@ class QueryTarget {
   SimilarityOptions options_;
   std::unique_ptr<geom::EdgeGrid> grid_;
   std::unique_ptr<geom::EdgeSoA> soa_;
+};
+
+/// A per-query table of lower bounds on QueryTarget::Distance (DESIGN.md
+/// section 14.3): the target's distance sampled on a fixed grid of nodes
+/// over the box that holds every copy normalized about an alpha-diameter,
+/// minus the cell half-diagonal and a rounding margin. The discrete
+/// verifier consults it before BoundedScore: a copy the field abandons is
+/// one BoundedScore abandons too, so verdicts never change. Immutable once
+/// built, so concurrent reads are safe; Build reuses the table's storage.
+class BoundField {
+ public:
+  /// Samples `target` at every node of the box x in [1 - r, r],
+  /// |y| <= sqrt(r^2 - 1/4), r = 1 / (1 - alpha): every vertex of a copy
+  /// normalized about an alpha-diameter lies within r of both (0,0) and
+  /// (1,0). The nodes form kColumns columns and as many rows as keep the
+  /// cells near-square (126 x 204 at the default alpha = 0.1).
+  void Build(const QueryTarget& target, double alpha);
+
+  /// Node columns across the box.
+  static constexpr int kColumns = 126;
+
+  /// The number of nodes, and the coordinates of node `i` (row-major from
+  /// the box's lower left corner).
+  size_t num_nodes() const { return static_cast<size_t>(kColumns) * rows_; }
+  geom::Point Node(size_t i) const;
+
+  /// A lower bound on target.Distance(p): the value at p's nearest node,
+  /// or 0 outside the box.
+  double Lower(geom::Point p) const {
+    // Table coordinates plus 1/2, so truncation picks the nearest entry;
+    // anything past the nodes (NaN included) is clamped onto the table's
+    // zero border.
+    double tx = p.x * inv_hx_ + x_offset_;
+    double ty = p.y * inv_hy_ + y_offset_;
+    tx = tx > 0.0 ? tx : 0.0;
+    tx = tx < kStride - 1 ? tx : kStride - 1;
+    ty = ty > 0.0 ? ty : 0.0;
+    ty = ty < max_ty_ ? ty : max_ty_;
+    return table_[static_cast<int>(ty) * kStride + static_cast<int>(tx)];
+  }
+
+  /// True when the discrete to-query average of `copy` provably exceeds
+  /// `threshold`: the fields at its vertices, added in vertex order and
+  /// divided by the vertex count, already do. Then BoundedScore(copy, m,
+  /// threshold) is nullopt for both discrete measures m.
+  bool Abandons(const geom::Polyline& copy, double threshold) const {
+    const std::vector<geom::Point>& vertices = copy.vertices();
+    if (vertices.empty()) return false;
+    double sum = 0.0;
+    for (geom::Point p : vertices) sum += Lower(p);
+    return sum / static_cast<double>(vertices.size()) > threshold;
+  }
+
+ private:
+  /// Table row length: the node columns between two zero border columns.
+  static constexpr int kStride = kColumns + 2;
+
+  size_t rows_ = 0;             // Node rows.
+  double x0_ = 0.0, y0_ = 0.0;  // Node 0.
+  double hx_ = 0.0, hy_ = 0.0;  // Node spacing.
+  // Table coordinates of a point plus 1/2: x * inv_hx_ + x_offset_,
+  // likewise for y, where node (i, j) sits at table entry (i + 1, j + 1).
+  double inv_hx_ = 0.0, inv_hy_ = 0.0;
+  double x_offset_ = 0.0, y_offset_ = 0.0;
+  double max_ty_ = 0.0;         // The top border row.
+  std::vector<double> table_;   // (rows_ + 2) x kStride, border zero.
 };
 
 }  // namespace geosir::core

@@ -489,18 +489,15 @@ util::Status Follower::Rotate(const WalRecord& record) {
         "replica state does not match rotation commit; snapshot resync "
         "required");
   }
-  // Build this follower's own checkpoint of the converged state. The
-  // WAL carries original (un-normalized) boundaries, so the serialized
-  // result matches what the primary checkpointed.
-  core::ShapeBase snapshot(options_.base.base);
-  for (uint64_t id : commit.live_ids) {
-    GEOSIR_RETURN_IF_ERROR(
-        snapshot.AddShape(base_->boundary(id), base_->image(id),
-                          base_->label(id))
-            .status());
-  }
+  // Merge the delta into the main base, as the primary did at this exact
+  // point in the stream, so replica query latency tracks the primary's.
+  // The follower's base has no journal attached, so this is pure
+  // in-memory restructuring — no LSNs are consumed. The compacted main
+  // holds the live shapes in stable-id order with the original boundaries
+  // the WAL carried, so it serializes to the primary's checkpoint bytes.
+  GEOSIR_RETURN_IF_ERROR(base_->Compact());
   GEOSIR_ASSIGN_OR_RETURN(const std::vector<uint8_t> checkpoint,
-                          storage::SerializeShapeBase(snapshot));
+                          storage::SerializeShapeBase(base_->main_base()));
   GEOSIR_RETURN_IF_ERROR(env_->WriteFileAtomic(
       storage::CheckpointPath(options_.dir, commit.generation), checkpoint));
   GEOSIR_ASSIGN_OR_RETURN(
@@ -524,11 +521,6 @@ util::Status Follower::Rotate(const WalRecord& record) {
   head_lsn_ = record.lsn;
   applied_lsn_.store(cursor_, std::memory_order_release);
   durable_lsn_.store(wal_->synced_upto(), std::memory_order_release);
-  // Merge the delta into the main base so replica query latency tracks
-  // the primary's (which compacted at this exact point in the stream).
-  // The follower's base has no journal attached, so this is pure
-  // in-memory restructuring — no LSNs are consumed.
-  GEOSIR_RETURN_IF_ERROR(base_->Compact());
   lock.unlock();
 
   if (had_generation && old_generation != commit.generation) {

@@ -17,6 +17,7 @@
 #include "core/dynamic_shape_base.h"
 #include "core/envelope_matcher.h"
 #include "core/shape_base.h"
+#include "core/similarity.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
@@ -392,6 +393,36 @@ TEST(MatcherTraceTest, ArmedSlowLogCapturesQueriesWithoutCallerTrace) {
   EXPECT_FALSE(worst.rounds().empty());
   EXPECT_FALSE(worst.termination().empty());
   log.Clear();
+}
+
+// The ring filter's exact membership test scans the query's edges once
+// per tested vertex. Below grid_min_edges that scan is the flat kernel's,
+// which Match counts itself (flushed once per round): with verification
+// cut to one candidate, the counter must still rise by at least the
+// accepted vertices times the query's edges.
+TEST(MatcherTraceTest, RingFilterCountsItsKernelEdges) {
+  core::ShapeBase base;
+  PopulateBase(&base);
+  const Polyline& query = base.shape(3).boundary;
+  ASSERT_LT(query.NumEdges(), core::SimilarityOptions{}.grid_min_edges);
+  Counter* edges = MetricRegistry::Default().GetCounter(
+      "geosir_geom_kernel_batched_edges_total",
+      "Edge evaluations routed through the batch kernels");
+  ASSERT_TRUE(Armed());
+  core::EnvelopeMatcher matcher(&base);
+  core::MatchOptions options;
+  options.k = 3;
+  options.measure = core::MatchMeasure::kDiscreteSymmetric;
+  options.initial_epsilon = 0.2;  // One wide round accepts many vertices.
+  options.budget.max_candidates = 1;
+  core::MatchStats stats;
+  const uint64_t before = edges->value();
+  auto got = matcher.Match(query, options, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(stats.candidates_evaluated, 1u);
+  ASSERT_GT(stats.vertices_accepted, 0u);
+  EXPECT_GE(edges->value() - before,
+            stats.vertices_accepted * query.NumEdges());
 }
 
 // ---------------------------------------------------------------------------
