@@ -76,17 +76,22 @@ int main() {
     }
   }
 
+  // The index's candidates go through the matcher's verifier under the
+  // ground truth's measure.
+  geosir::core::EnvelopeMatcher matcher(&base);
+  geosir::core::MatchStats stats;
+
   std::printf("=== Curve-family size sweep ===\n");
   Table table({"k curves", "build_ms", "avg bucket", "cand/query",
                "precision@1", "recall@10", "query_ms"});
   for (int k : {10, 25, 50, 100, 200}) {
     geosir::hashing::GeoHashOptions options;
     options.curves_per_quarter = k;
-    options.measure = geosir::core::MatchMeasure::kDiscreteSymmetric;
     Timer build_timer;
     auto index = geosir::hashing::GeoHashIndex::Create(&base, options);
     const double build_ms = build_timer.Millis();
     if (!index.ok()) return 1;
+    geosir::hashing::GeoHashCandidateSource source(&*index);
 
     int correct = 0;
     double query_ms = 0.0;
@@ -95,8 +100,8 @@ int main() {
     for (size_t q = 0; q < queries.size(); ++q) {
       const auto& qc = queries[q];
       Timer t;
-      size_t evaluated = 0;
-      auto results = index->Query(qc.query, kTopK, &evaluated);
+      auto results =
+          matcher.MatchCandidates(qc.query, &source, exact_options, &stats);
       query_ms += t.Millis();
       if (!results.ok()) return 1;
       if (!results->empty() &&
@@ -104,7 +109,7 @@ int main() {
               qc.prototype) {
         ++correct;
       }
-      candidates += static_cast<double>(evaluated);
+      candidates += static_cast<double>(stats.candidates_evaluated);
       recall += RecallAtK(*results, truth[q]);
     }
     table.AddRow({FmtInt(k), Fmt("%.0f", build_ms),
@@ -143,15 +148,16 @@ int main() {
                     geosir::hashing::CurveFamilyKind::kVerticalLines}) {
     geosir::hashing::GeoHashOptions options;
     options.family = kind;
-    options.measure = geosir::core::MatchMeasure::kDiscreteSymmetric;
     auto index = geosir::hashing::GeoHashIndex::Create(&base, options);
     if (!index.ok()) return 1;
+    geosir::hashing::GeoHashCandidateSource source(&*index);
+    geosir::core::MatchOptions top1 = exact_options;
+    top1.k = 1;
     int correct = 0;
     double query_ms = 0.0, candidates = 0.0;
     for (const auto& qc : queries) {
       Timer t;
-      size_t evaluated = 0;
-      auto results = index->Query(qc.query, 1, &evaluated);
+      auto results = matcher.MatchCandidates(qc.query, &source, top1, &stats);
       query_ms += t.Millis();
       if (!results.ok()) return 1;
       if (!results->empty() &&
@@ -159,7 +165,7 @@ int main() {
               qc.prototype) {
         ++correct;
       }
-      candidates += static_cast<double>(evaluated);
+      candidates += static_cast<double>(stats.candidates_evaluated);
     }
     family_table.AddRow({CurveFamilyKindName(kind),
                          Fmt("%.1f", index->AverageBucketOccupancy()),

@@ -254,10 +254,8 @@ int main() {
   TierOutcome geohash;
   geohash.tier = "geohash";
   {
-    geosir::hashing::GeoHashOptions options;
-    options.measure = geosir::core::MatchMeasure::kDiscreteSymmetric;
     Timer build;
-    auto index = geosir::hashing::GeoHashIndex::Create(&base, options);
+    auto index = geosir::hashing::GeoHashIndex::Create(&base);
     geohash.build_ms = build.Millis();
     if (!index.ok()) return 1;
     geosir::hashing::GeoHashCandidateSource source(&*index);

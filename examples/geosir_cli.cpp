@@ -160,7 +160,8 @@ class GeoSirCli {
     const char* via = "matcher";
     std::vector<geosir::core::MatchResult> matches = *results;
     if (matches.empty()) {
-      auto approx = hash_->Query(it->second, k);
+      geosir::hashing::GeoHashCandidateSource source(hash_.get());
+      auto approx = matcher_->MatchCandidates(it->second, &source, options);
       if (approx.ok()) {
         matches = *approx;
         via = "hashing";

@@ -49,6 +49,7 @@ int main() {
   std::printf("hash index: %d curves/quarter, avg bucket occupancy %.2f\n\n",
               hash_index->options().curves_per_quarter,
               hash_index->AverageBucketOccupancy());
+  geosir::hashing::GeoHashCandidateSource hash_source(&*hash_index);
 
   geosir::util::Rng rng(77);
   struct Sketch {
@@ -96,8 +97,10 @@ int main() {
     std::vector<MatchResult> results = *exact;
     const char* path = "envelope matcher";
     if (results.empty()) {
-      // Section 3: fall back to geometric hashing.
-      auto approx = hash_index->Query(sketch.shape, 3);
+      // Section 3: fall back to geometric hashing, its candidates ranked
+      // by the matcher's verifier.
+      auto approx =
+          matcher.MatchCandidates(sketch.shape, &hash_source, options);
       if (!approx.ok()) {
         std::fprintf(stderr, "hash query: %s\n",
                      approx.status().ToString().c_str());

@@ -5,7 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "core/match_types.h"
 #include "core/normalize.h"
 
 namespace geosir::core {

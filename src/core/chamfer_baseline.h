@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/match_types.h"
 #include "core/shape.h"
 #include "util/status.h"
 
@@ -34,10 +35,9 @@ class ChamferBaseline {
   /// Adds a shape (both diameter orientations are stored).
   util::Status Add(ShapeId id, const geom::Polyline& boundary);
 
-  struct QueryResult {
-    ShapeId shape_id = 0;
-    double distance = 0.0;  // Mean chamfer distance, diameter units.
-  };
+  /// `distance` is the mean chamfer distance in diameter units;
+  /// `copy_index` is unused.
+  using QueryResult = MatchResult;
 
   /// k best shapes for the query under the chamfer score.
   std::vector<QueryResult> Query(const geom::Polyline& query,

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "core/normalize.h"
-#include "core/similarity.h"
 #include "obs/metrics.h"
-#include "util/query_control.h"
 
 namespace geosir::core {
 
@@ -287,69 +284,29 @@ util::Result<std::vector<NormalizedCopy>> DynamicShapeBase::NormalizedCopiesOf(
     return util::Status::NotFound("unknown or deleted shape id");
   }
   std::vector<NormalizedCopy> copies;
-  for (uint32_t c : main_->CopiesOfShape(shape_of_[id])) {
-    copies.push_back(main_->copy(c));
-  }
+  for (uint32_t c : CopiesOf(id)) copies.push_back(main_->copy(c));
   return copies;
 }
 
-util::Result<std::vector<std::pair<uint64_t, double>>>
-DynamicShapeBase::MatchIds(const std::vector<uint64_t>& ids,
-                           const geom::Polyline& query, size_t k,
-                           MatchStats* stats) const {
-  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options_.match, k));
-  MatchStats local_stats;
-  MatchStats& st = stats != nullptr ? *stats : local_stats;
-  st = MatchStats{};
-
-  // Lifecycle entry check + thread-local binding for the scoring loop.
-  const util::QueryControl control{options_.match.deadline,
-                                   options_.match.cancel_token};
-  if (util::Status entry = control.Check(); !entry.ok()) {
-    st.termination = entry;
-    return entry;
-  }
-  const util::ScopedQueryControl scoped(&control);
-
-  GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
-  const QueryTarget target(qnorm.shape, options_.match.similarity);
-  const size_t max_candidates = options_.match.budget.max_candidates;
-  std::vector<std::pair<uint64_t, double>> results;
-  util::Status stop;  // First lifecycle stop observed.
-  for (uint64_t id : ids) {
-    // Each id costs one direct similarity evaluation — the same unit
-    // the matcher's candidate checkpoint guards, so poll per id.
-    if (stop.ok()) stop = control.Check();
-    if (stop.ok() && max_candidates > 0 &&
-        st.candidates_evaluated >= max_candidates) {
-      stop = util::Status::ResourceExhausted("candidate budget exhausted");
-    }
-    if (!stop.ok()) {
-      ++st.candidates_skipped;
-      continue;
-    }
-    // Stale candidates (removed since a pre-filter emitted them) are
-    // skipped silently: the approximate tier is allowed to lag by a
-    // mutation, the exact tier filters it out here.
-    if (!IsLive(id)) continue;
-    double best = std::numeric_limits<double>::infinity();
-    for (uint32_t c : main_->CopiesOfShape(shape_of_[id])) {
-      best = std::min(
-          best, target.Score(main_->copy(c).shape, options_.match.measure));
-    }
-    ++st.candidates_evaluated;
-    results.emplace_back(id, best);
-  }
-  // Same partial-result contract as the matcher.
-  GEOSIR_RETURN_IF_ERROR(
-      RankAndClose(&results, k, /*collect_threshold=*/-1.0, stop, &st));
-  return results;
+const std::vector<uint32_t>& DynamicShapeBase::CopiesOf(uint64_t id) const {
+  static const std::vector<uint32_t> kNone;
+  return IsLive(id) ? main_->CopiesOfShape(shape_of_[id]) : kNone;
 }
 
 util::Result<std::vector<std::pair<uint64_t, double>>>
 DynamicShapeBase::Match(const geom::Polyline& query, size_t k,
                         MatchStats* stats) {
-  return MatchWith(matcher_.get(), query, k, stats);
+  return MatchWith(matcher_.get(), nullptr, query, k, stats);
+}
+
+util::Result<std::vector<std::pair<uint64_t, double>>>
+DynamicShapeBase::MatchCandidates(const geom::Polyline& query,
+                                  CandidateSource* source, size_t k,
+                                  MatchStats* stats) {
+  if (source == nullptr) {
+    return util::Status::InvalidArgument("MatchCandidates requires a source");
+  }
+  return MatchWith(matcher_.get(), source, query, k, stats);
 }
 
 util::Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
@@ -361,7 +318,7 @@ DynamicShapeBase::MatchBatch(const std::vector<geom::Polyline>& queries,
   GEOSIR_RETURN_IF_ERROR(RunMatchBatch(
       main_.get(), queries.size(), options_.match, stats,
       [&](EnvelopeMatcher* matcher, size_t i, MatchStats* query_stats) {
-        auto result = MatchWith(matcher, queries[i], k, query_stats);
+        auto result = MatchWith(matcher, nullptr, queries[i], k, query_stats);
         if (result.ok()) results[i] = std::move(result).value();
         return result.status();
       }));
@@ -369,13 +326,16 @@ DynamicShapeBase::MatchBatch(const std::vector<geom::Polyline>& queries,
 }
 
 util::Result<std::vector<std::pair<uint64_t, double>>>
-DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher,
+DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher, CandidateSource* source,
                             const geom::Polyline& query, size_t k,
                             MatchStats* stats) const {
   MatchOptions options = options_.match;
   options.k = k;
-  GEOSIR_ASSIGN_OR_RETURN(std::vector<MatchResult> ranked,
-                          matcher->Match(query, options, stats));
+  GEOSIR_ASSIGN_OR_RETURN(
+      std::vector<MatchResult> ranked,
+      source == nullptr
+          ? matcher->Match(query, options, stats)
+          : matcher->MatchCandidates(query, source, options, stats));
   // ShapeIds ascend with stable ids, so the matcher's (distance, ShapeId)
   // order is the (distance, stable id) order. Collect mode is cut to k.
   std::vector<std::pair<uint64_t, double>> results;

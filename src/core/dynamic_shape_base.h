@@ -93,20 +93,18 @@ class DynamicShapeBase {
   MatchBatch(const std::vector<geom::Polyline>& queries, size_t k = 1,
              std::vector<MatchStats>* stats = nullptr);
 
-  /// EXTENSION (tiered retrieval): exact verification of an explicit
-  /// candidate id set — the second tier behind an approximate pre-filter
-  /// (lsh::DynamicLshIndex) that produced `ids`. Each live id is scored
-  /// directly under options().match.measure (best over its normalized
-  /// copies in the main base); unknown, deleted or restored-placeholder
-  /// ids are skipped silently, since approximate candidate sets may be
-  /// stale by one mutation. Results are the k best (distance, id)-ordered pairs.
-  /// Deterministic: ids are processed in the given order and the
-  /// candidate budget (options().match.budget.max_candidates) cuts
-  /// deterministically; deadline / cancel follow the usual
-  /// partial-result contract.
-  util::Result<std::vector<std::pair<uint64_t, double>>> MatchIds(
-      const std::vector<uint64_t>& ids, const geom::Polyline& query,
-      size_t k = 1, MatchStats* stats = nullptr) const;
+  /// EXTENSION (tiered retrieval): k-best retrieval over the candidates
+  /// `source` emits instead of envelope growth: one
+  /// EnvelopeMatcher::MatchCandidates over the main base, mapped to stable
+  /// ids exactly as Match maps its ranking. `source` emits main-base copy
+  /// indices: lsh::DynamicLshIndex (the LSH pre-filter kept fresh by the
+  /// observer hook) or a core::ExactEnumerationSource on main_base().
+  /// Copies of deleted shapes are never verified. The candidate budget
+  /// (options().match.budget.max_candidates) caps the copies the source
+  /// emits; deadline / cancel follow the usual partial-result contract.
+  util::Result<std::vector<std::pair<uint64_t, double>>> MatchCandidates(
+      const geom::Polyline& query, CandidateSource* source, size_t k = 1,
+      MatchStats* stats = nullptr);
 
   /// Attaches a mutation observer (non-owning; nullptr detaches). The
   /// observer sees every ApplyInsert/ApplyRemove from now on, including
@@ -117,6 +115,9 @@ class DynamicShapeBase {
   /// observer state rebuilds after RestoreCheckpoint.
   util::Result<std::vector<NormalizedCopy>> NormalizedCopiesOf(
       uint64_t id) const;
+  /// Indices into main_base().copies() of a live id's copies; empty for a
+  /// deleted or unknown one. Valid until the next mutation.
+  const std::vector<uint32_t>& CopiesOf(uint64_t id) const;
 
   /// Forces a rebuild of the main base (normally automatic).
   util::Status Compact();
@@ -169,11 +170,12 @@ class DynamicShapeBase {
 
   /// Mutable match configuration, including the query-lifecycle controls
   /// (deadline / cancel_token / budget). A deadline is an absolute time
-  /// point, so arm it right before the Match or MatchBatch call it should
-  /// bound. Lifecycle stops follow the matcher's partial-result contract:
-  /// best-so-far rankings come back with MatchStats::partial set (delta
-  /// copies not yet scored count as candidates_skipped); a stop before
-  /// anything was ranked returns the stop status instead.
+  /// point, so arm it right before the Match, MatchBatch or
+  /// MatchCandidates call it should bound. Lifecycle stops follow the
+  /// matcher's partial-result contract: best-so-far rankings come back
+  /// with MatchStats::partial set (delta copies not yet scored count as
+  /// candidates_skipped); a stop before anything was ranked returns the
+  /// stop status instead.
   MatchOptions& match_options() { return options_.match; }
   const MatchOptions& match_options() const { return options_.match; }
 
@@ -197,12 +199,13 @@ class DynamicShapeBase {
   uint64_t ApplyInsert(Shape shape, std::vector<NormalizedCopy> copies);
   /// Shared tail of Remove and ReplayRemove (same no-journal rule).
   void ApplyRemove(uint64_t id);
-  /// Match and MatchBatch: one `matcher` pass over the main base (its
-  /// tail included), mapped to stable ids and cut to k. Mutates only
-  /// `matcher`'s scratch.
+  /// Match, MatchBatch and MatchCandidates: one `matcher` pass over the
+  /// main base (its tail included) — envelope growth when `source` is
+  /// null, else the source's candidates — mapped to stable ids and cut to
+  /// k. Mutates only `matcher`'s scratch.
   util::Result<std::vector<std::pair<uint64_t, double>>> MatchWith(
-      EnvelopeMatcher* matcher, const geom::Polyline& query, size_t k,
-      MatchStats* stats) const;
+      EnvelopeMatcher* matcher, CandidateSource* source,
+      const geom::Polyline& query, size_t k, MatchStats* stats) const;
 
   Options options_;
   DynamicBaseJournal* journal_ = nullptr;  // Non-owning.

@@ -5,7 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "core/match_types.h"
 #include "geom/transform.h"
 
 namespace geosir::core {

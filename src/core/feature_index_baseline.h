@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/match_types.h"
 #include "core/shape.h"
 #include "util/status.h"
 
@@ -34,10 +35,8 @@ class FeatureIndexBaseline {
   /// Adds a shape under all its edge normalizations.
   util::Status Add(ShapeId id, const geom::Polyline& boundary);
 
-  struct QueryResult {
-    ShapeId shape_id = 0;
-    double distance = 0.0;
-  };
+  /// `copy_index` is unused.
+  using QueryResult = MatchResult;
 
   /// k nearest shapes for the query (per-shape best over all stored and
   /// query-side edge normalizations).

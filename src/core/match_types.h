@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/shape.h"
@@ -191,34 +190,20 @@ inline void FoldBest(const MatchResult& result,
   if (!inserted && result.distance < it->second.distance) it->second = result;
 }
 
-/// The (distance, id) key every ranking sorts by: any result with
-/// `distance` and `shape_id` members, or a (stable id, distance) pair.
-template <typename Result>
-std::pair<double, uint64_t> RankKey(const Result& r) {
-  return {r.distance, r.shape_id};
-}
-inline std::pair<double, uint64_t> RankKey(
-    const std::pair<uint64_t, double>& r) {
-  return {r.second, r.first};
-}
-
 /// The (distance, id) ranking every result list goes through: with a
 /// positive `collect_threshold` keeps the results within it, otherwise
-/// cuts to the `k` best; sorts by (distance, id) either way.
-template <typename Result>
-void RankResults(std::vector<Result>* results, size_t k,
-                 double collect_threshold = -1.0) {
+/// cuts to the `k` best; sorts by (distance, shape_id) either way.
+inline void RankResults(std::vector<MatchResult>* results, size_t k,
+                        double collect_threshold = -1.0) {
   if (collect_threshold > 0.0) {
-    std::erase_if(*results, [&](const Result& r) {
-      return RankKey(r).first > collect_threshold;
+    std::erase_if(*results, [&](const MatchResult& r) {
+      return r.distance > collect_threshold;
     });
   }
   std::sort(results->begin(), results->end(),
-            [](const Result& a, const Result& b) {
-              const auto [da, ia] = RankKey(a);
-              const auto [db, ib] = RankKey(b);
-              if (da != db) return da < db;
-              return ia < ib;
+            [](const MatchResult& a, const MatchResult& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.shape_id < b.shape_id;
             });
   if (collect_threshold <= 0.0 && results->size() > k) results->resize(k);
 }
@@ -228,10 +213,9 @@ void RankResults(std::vector<Result>* results, size_t k,
 /// ranked results in hand marks `stats` partial and returns OK; a stop
 /// before anything was ranked returns `stop` itself;
 /// `stats->termination` records the stop either way.
-template <typename Result>
-util::Status RankAndClose(std::vector<Result>* results, size_t k,
-                          double collect_threshold, const util::Status& stop,
-                          MatchStats* stats) {
+inline util::Status RankAndClose(std::vector<MatchResult>* results, size_t k,
+                                 double collect_threshold,
+                                 const util::Status& stop, MatchStats* stats) {
   RankResults(results, k, collect_threshold);
   if (stop.ok()) return util::Status::OK();
   stats->termination = stop;

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/normalize.h"
-#include "core/similarity.h"
 #include "util/query_control.h"
 
 namespace geosir::hashing {
 
-GeoHashIndex::GeoHashIndex(const core::ShapeBase* base, GeoHashOptions options,
-                           ArcFamily family)
-    : base_(base), options_(options), family_(std::move(family)) {}
+GeoHashIndex::GeoHashIndex(GeoHashOptions options, ArcFamily family)
+    : options_(options), family_(std::move(family)) {}
 
 util::Result<GeoHashIndex> GeoHashIndex::Create(const core::ShapeBase* base,
                                                 const GeoHashOptions& options) {
@@ -21,7 +18,7 @@ util::Result<GeoHashIndex> GeoHashIndex::Create(const core::ShapeBase* base,
   GEOSIR_ASSIGN_OR_RETURN(
       ArcFamily family,
       ArcFamily::Create(options.curves_per_quarter, options.family));
-  GeoHashIndex index(base, options, std::move(family));
+  GeoHashIndex index(options, std::move(family));
   for (int q = 0; q < 4; ++q) {
     index.buckets_[q].assign(options.curves_per_quarter + 1, {});
   }
@@ -57,35 +54,6 @@ std::vector<std::pair<uint32_t, uint32_t>> GeoHashIndex::CollectCandidates(
                                                      multiplicity.end());
   std::sort(counted.begin(), counted.end());
   return counted;
-}
-
-util::Result<std::vector<core::MatchResult>> GeoHashIndex::Query(
-    const geom::Polyline& query, size_t k,
-    size_t* candidates_evaluated) const {
-  GEOSIR_ASSIGN_OR_RETURN(core::NormalizedCopy qnorm,
-                          core::NormalizeQuery(query));
-  const std::vector<std::pair<uint32_t, uint32_t>> candidates =
-      CollectCandidates(qnorm.shape);
-
-  if (candidates_evaluated != nullptr) {
-    *candidates_evaluated = candidates.size();
-  }
-
-  // Rank candidates per shape with the similarity measure.
-  const core::QueryTarget target(qnorm.shape, options_.similarity);
-  std::unordered_map<core::ShapeId, core::MatchResult> best;
-  for (const auto& [copy_idx, count] : candidates) {
-    const core::NormalizedCopy& copy = base_->copy(copy_idx);
-    core::FoldBest(
-        {copy.shape_id, target.Score(copy.shape, options_.measure), copy_idx},
-        &best);
-  }
-
-  std::vector<core::MatchResult> results;
-  results.reserve(best.size());
-  for (const auto& [id, r] : best) results.push_back(r);
-  core::RankResults(&results, k);
-  return results;
 }
 
 double GeoHashIndex::AverageBucketOccupancy() const {

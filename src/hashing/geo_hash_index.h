@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/candidate_source.h"
-#include "core/envelope_matcher.h"
 #include "core/shape_base.h"
 #include "hashing/hash_curves.h"
 #include "util/status.h"
@@ -21,38 +20,28 @@ struct GeoHashOptions {
   /// probed per quarter (0 = exact-curve only). Shapes close to each
   /// other land on the same or neighboring curves.
   int neighbor_radius = 1;
-  /// Measure used to rank the collected shapes.
-  core::MatchMeasure measure = core::MatchMeasure::kContinuousSymmetric;
-  core::SimilarityOptions similarity;
 };
 
 /// The approximate-matching fallback of Section 3: every normalized copy
 /// in the shape base is bucketed by its characteristic curve in each of
 /// the four lune quarters. A query probes its own four curves (plus
-/// optional neighbors), collects the shapes in those buckets, ranks them
-/// with the similarity measure, and returns the best ones. Expected cost:
-/// logarithmic in the curve-family size plus a constant number of
-/// candidate evaluations.
+/// optional neighbors) and collects the shapes in those buckets; ranking
+/// them with the similarity measure is the verifier's job
+/// (EnvelopeMatcher::MatchCandidates over a GeoHashCandidateSource).
+/// Expected cost: logarithmic in the curve-family size plus a constant
+/// number of candidate evaluations.
 class GeoHashIndex {
  public:
-  /// Builds buckets for every copy in `base` (which must be finalized and
-  /// must outlive the index).
+  /// Builds buckets for every copy in `base`, which must be finalized.
+  /// The index holds copy indices only; rank them against that base.
   static util::Result<GeoHashIndex> Create(const core::ShapeBase* base,
                                            const GeoHashOptions& options = {});
 
-  /// Approximate k-best retrieval. The returned distances use the
-  /// configured measure. `candidates_evaluated`, when non-null, receives
-  /// the number of distinct copies collected from the probed buckets
-  /// (the paper expects a small constant per query).
-  util::Result<std::vector<core::MatchResult>> Query(
-      const geom::Polyline& query, size_t k = 1,
-      size_t* candidates_evaluated = nullptr) const;
-
-  /// The bucket-probe phase of Query without the ranking: distinct copies
-  /// collected from the probed (quarter, curve) buckets of the *already
-  /// normalized* query, each with its multiplicity (how many quarters
-  /// collected it, 1..4), sorted ascending by copy index. Deterministic;
-  /// shared by Query and GeoHashCandidateSource.
+  /// The bucket probe: distinct copies collected from the probed
+  /// (quarter, curve) buckets of the *already normalized* query, each
+  /// with its multiplicity (how many quarters collected it, 1..4), sorted
+  /// ascending by copy index. Deterministic; GeoHashCandidateSource
+  /// orders it for the verifier.
   std::vector<std::pair<uint32_t, uint32_t>> CollectCandidates(
       const geom::Polyline& normalized) const;
 
@@ -68,10 +57,8 @@ class GeoHashIndex {
   double AverageBucketOccupancy() const;
 
  private:
-  GeoHashIndex(const core::ShapeBase* base, GeoHashOptions options,
-               ArcFamily family);
+  GeoHashIndex(GeoHashOptions options, ArcFamily family);
 
-  const core::ShapeBase* base_;
   GeoHashOptions options_;
   ArcFamily family_;
   std::vector<CurveQuadruple> copy_quadruples_;

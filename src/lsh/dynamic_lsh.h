@@ -4,9 +4,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/candidate_source.h"
 #include "core/dynamic_shape_base.h"
 #include "lsh/lsh_index.h"
-#include "util/query_control.h"
 #include "util/status.h"
 
 namespace geosir::lsh {
@@ -15,44 +15,52 @@ namespace geosir::lsh {
 /// DynamicBaseObserver that mirrors every applied insert/remove into an
 /// LshIndex keyed by stable ids, so candidates stay fresh under
 /// interleaved mutation — including journal recovery and replication
-/// follower replay, which run through the same observer hook. Query
-/// candidates feed DynamicShapeBase::MatchIds, which scores them from the
-/// main base's stored copies (delta and compacted shapes alike).
+/// follower replay, which run through the same observer hook. It is also
+/// the CandidateSource of DynamicShapeBase::MatchCandidates over the base
+/// it observes: Generate ranks the colliding stable ids by collision
+/// multiplicity and emits the main base's copies of each live one (delta
+/// and compacted shapes alike), so they go through the one verifier.
 ///
-/// Thread safety is the wrapped LshIndex's: concurrent Query vs.
+/// Thread safety is the wrapped LshIndex's: concurrent index().Query vs.
 /// OnInsert/OnRemove is safe; the observer callbacks themselves arrive on
-/// the base's (single) mutating thread.
-class DynamicLshIndex final : public core::DynamicBaseObserver {
+/// the base's (single) mutating thread. Generate reads the base, so it
+/// follows the base's rule: no mutation during a query.
+class DynamicLshIndex final : public core::DynamicBaseObserver,
+                              public core::CandidateSource {
  public:
-  /// track_keys is forced on — removals need the stored bucket keys.
+  /// `base` is the base this index observes (attach it with
+  /// base->SetObserver); not owned, must outlive the index. track_keys is
+  /// forced on — removals need the stored bucket keys.
   static util::Result<std::unique_ptr<DynamicLshIndex>> Create(
-      LshOptions options);
+      const core::DynamicShapeBase* base, LshOptions options);
 
   void OnInsert(uint64_t id,
                 const std::vector<core::NormalizedCopy>& copies) override;
   void OnRemove(uint64_t id) override;
 
-  /// Candidate stable ids for an already-normalized query, ranked by
-  /// collision multiplicity. Same contract as LshIndex::Query.
-  util::Status Query(const geom::Polyline& normalized_query,
-                     size_t max_candidates, const util::QueryControl& control,
-                     std::vector<uint64_t>* out,
-                     LshIndex::QueryStats* stats) const {
-    return index_->Query(normalized_query, max_candidates, control, out,
-                         stats);
-  }
+  const char* name() const override { return "lsh"; }
 
-  /// Re-seeds the tables from a base's live records — for attaching to a
-  /// base that already has content (e.g. right after RestoreCheckpoint,
+  /// The copies of the ranked live ids, id by id; ids the base no longer
+  /// holds are skipped. `max_candidates` counts copies.
+  util::Status Generate(const geom::Polyline& normalized_query,
+                        size_t max_candidates,
+                        const core::MatchOptions& options,
+                        std::vector<uint32_t>* out,
+                        core::CandidateSourceStats* stats) override;
+
+  /// Re-seeds the tables from the base's live records — for attaching to
+  /// a base that already has content (e.g. right after RestoreCheckpoint,
   /// which bypasses the observer). Existing table state is replaced.
-  util::Status RebuildFrom(const core::DynamicShapeBase& base);
+  util::Status Rebuild();
 
   const LshIndex& index() const { return *index_; }
 
  private:
-  explicit DynamicLshIndex(std::unique_ptr<LshIndex> index)
-      : index_(std::move(index)) {}
+  DynamicLshIndex(const core::DynamicShapeBase* base,
+                  std::unique_ptr<LshIndex> index)
+      : base_(base), index_(std::move(index)) {}
 
+  const core::DynamicShapeBase* base_;
   std::unique_ptr<LshIndex> index_;
 };
 

@@ -123,20 +123,19 @@ util::Result<ImageSet> QueryContext::EvalSimilar(const geom::Polyline& q) {
 }
 
 bool QueryContext::GSimilar(core::ShapeId shape,
-                            const core::NormalizedCopy& qnorm) {
+                            const core::QueryTarget& query) {
   ++stats_.pair_checks;
   const core::ShapeBase& base = base_->shape_base();
-  // Best over all of the shape's normalized copies — the same per-shape
-  // minimum the matcher reports, so both execution strategies apply the
-  // same g_similar predicate.
-  double best = std::numeric_limits<double>::infinity();
+  // Some copy within the threshold: the per-shape minimum the matcher
+  // ranks, under the same measure and scoring, so both execution
+  // strategies apply the same g_similar predicate.
   for (uint32_t copy_idx : base.CopiesOfShape(shape)) {
-    best = std::min(best, core::AvgMinDistanceSymmetric(
-                              base.copy(copy_idx).shape, qnorm.shape,
-                              options_.match.similarity));
-    if (best <= options_.similar_threshold) return true;
+    const std::optional<double> distance = query.BoundedScore(
+        base.copy(copy_idx).shape, options_.match.measure,
+        options_.similar_threshold, &copy_edges_);
+    if (distance && *distance <= options_.similar_threshold) return true;
   }
-  return best <= options_.similar_threshold;
+  return false;
 }
 
 bool QueryContext::AngleMatches(double angle,
@@ -184,6 +183,8 @@ util::Result<ImageSet> QueryContext::EvalTopological(
                             ShapeSimilar(drive_q));
     GEOSIR_ASSIGN_OR_RETURN(core::NormalizedCopy other_norm,
                             core::NormalizeQuery(other_q));
+    const core::QueryTarget other_target(other_norm.shape,
+                                         options_.match.similarity);
     for (const core::MatchResult& m : driven) {
       // Per-driven-shape checkpoint: each iteration may scan an image's
       // edges and run direct g_similar integrals.
@@ -208,7 +209,7 @@ util::Result<ImageSet> QueryContext::EvalTopological(
               base_->shape_base().shape(swap ? m.shape_id : other).boundary,
               base_->shape_base().shape(swap ? other : m.shape_id).boundary);
           if (!AngleMatches(angle, theta)) continue;
-          if (GSimilar(other, other_norm)) {
+          if (GSimilar(other, other_target)) {
             result.push_back(image);
             break;
           }
@@ -226,7 +227,7 @@ util::Result<ImageSet> QueryContext::EvalTopological(
         const core::ShapeId other_role = swap ? s2 : s1;
         if (drive_role != m.shape_id) continue;
         if (!AngleMatches(e.angle, theta)) continue;
-        if (GSimilar(other_role, other_norm)) {
+        if (GSimilar(other_role, other_target)) {
           result.push_back(image);
           break;
         }

@@ -107,8 +107,10 @@ class QueryContext {
   static uint64_t HashPolyline(const geom::Polyline& q);
 
   /// Direct pairwise similarity test g_similar(S, Q) without computing
-  /// the full shape_similar set (strategy 1's inner check).
-  bool GSimilar(core::ShapeId shape, const core::NormalizedCopy& qnorm);
+  /// the full shape_similar set (strategy 1's inner check): some copy of
+  /// `shape` within similar_threshold of `query` under
+  /// options.match.measure, the predicate ShapeSimilar applies.
+  bool GSimilar(core::ShapeId shape, const core::QueryTarget& query);
 
   bool AngleMatches(double angle, std::optional<double> theta) const;
 
@@ -117,6 +119,7 @@ class QueryContext {
   core::EnvelopeMatcher matcher_;
   SelectivityModel selectivity_;
   QueryContextStats stats_;
+  geom::EdgeSoA copy_edges_;  // GSimilar's scoring scratch.
   struct CachedSimilar {
     std::vector<core::MatchResult> shapes;
     std::vector<uint8_t> member;  // Indexed by ShapeId.

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_source.h"
 #include "core/dynamic_shape_base.h"
 #include "core/normalize.h"
 #include "core/similarity.h"
+#include "lsh/dynamic_lsh.h"
 #include "obs/metrics.h"
 #include "storage/appendable_file.h"
 #include "storage/base_io.h"
@@ -120,10 +122,9 @@ TEST(DynamicShapeBaseTest, TombstoneCompactionReclaims) {
 }
 
 TEST(DynamicShapeBaseTest, DeltaAndMainScoringAgreeBitForBit) {
-  // MatchIds scores delta (unindexed tail) and compacted shapes from the
-  // copies the main base stores, Match through the matcher's verifier;
-  // all of them score against one query target, so every distance must
-  // agree exactly, for every measure.
+  // Delta (unindexed tail) and compacted shapes are scored from the
+  // copies the main base stores, through the one verifier, against one
+  // query target: every distance must agree exactly, for every measure.
   util::Rng rng(7);
   workload::PolygonGenOptions gen;
   std::vector<Polyline> shapes;
@@ -143,7 +144,8 @@ TEST(DynamicShapeBaseTest, DeltaAndMainScoringAgreeBitForBit) {
       ids.push_back(*id);
     }
     ASSERT_EQ(base.NumDelta(), shapes.size());  // Below min_compaction_size.
-    auto delta = base.MatchIds(ids, query, ids.size());
+    ExactEnumerationSource delta_source(&base.main_base());
+    auto delta = base.MatchCandidates(query, &delta_source, ids.size());
     ASSERT_TRUE(delta.ok());
     auto delta_top = base.Match(query, 1);
     ASSERT_TRUE(delta_top.ok());
@@ -152,7 +154,8 @@ TEST(DynamicShapeBaseTest, DeltaAndMainScoringAgreeBitForBit) {
 
     ASSERT_TRUE(base.Compact().ok());
     ASSERT_EQ(base.NumDelta(), 0u);
-    auto main = base.MatchIds(ids, query, ids.size());
+    ExactEnumerationSource main_source(&base.main_base());
+    auto main = base.MatchCandidates(query, &main_source, ids.size());
     ASSERT_TRUE(main.ok());
     ASSERT_EQ(delta->size(), ids.size());
     ASSERT_EQ(main->size(), ids.size());
@@ -345,10 +348,7 @@ TEST(DynamicShapeBaseTest, TombstoneFreeMatchEqualsStaticMatchPlusDelta) {
         EnvelopeMatcher matcher(&snapshot);
         auto main = matcher.Match(query, static_options);
         ASSERT_TRUE(main.ok());
-        std::vector<std::pair<uint64_t, double>> ranked;
-        for (const MatchResult& m : *main) {
-          ranked.emplace_back(m.shape_id, m.distance);
-        }
+        std::vector<MatchResult> ranked = *main;
         auto qnorm = NormalizeQuery(query);
         ASSERT_TRUE(qnorm.ok());
         const QueryTarget target(qnorm->shape, static_options.similarity);
@@ -361,10 +361,15 @@ TEST(DynamicShapeBaseTest, TombstoneFreeMatchEqualsStaticMatchPlusDelta) {
           for (const NormalizedCopy& copy : *copies) {
             best = std::min(best, target.Score(copy.shape, measure));
           }
-          ranked.emplace_back(main_shapes.size() + d, best);
+          ranked.push_back(
+              {static_cast<ShapeId>(main_shapes.size() + d), best, 0});
         }
         RankResults(&ranked, k);
-        want.push_back(std::move(ranked));
+        std::vector<std::pair<uint64_t, double>> pairs;
+        for (const MatchResult& m : ranked) {
+          pairs.emplace_back(m.shape_id, m.distance);
+        }
+        want.push_back(std::move(pairs));
       }
       for (size_t threads : {1, 4}) {
         dynamic.match_options().num_threads = threads;
@@ -382,6 +387,123 @@ TEST(DynamicShapeBaseTest, TombstoneFreeMatchEqualsStaticMatchPlusDelta) {
       }
     }
   }
+}
+
+/// The (stable id, distance) ranking full scoring gives over `ids`: each
+/// live id's best stored copy under the base's measure, ranked by
+/// (distance, id) and cut to k. Ids the base no longer holds are skipped.
+std::vector<std::pair<uint64_t, double>> FullScoringRanking(
+    const DynamicShapeBase& base, const std::vector<uint64_t>& ids,
+    const Polyline& query, size_t k) {
+  std::vector<std::pair<uint64_t, double>> ranked;
+  for (uint64_t id : ids) {
+    if (!base.IsLive(id)) continue;
+    ranked.emplace_back(
+        id, BestScore(base, id, query, base.match_options().measure));
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second < b.second : a.first < b.first;
+  });
+  if (ranked.size() > k) ranked.resize(k);
+  return ranked;
+}
+
+TEST(DynamicShapeBaseTest, CandidateSourcesRankAsFullScoring) {
+  // MatchCandidates through the one verifier equals full scoring of the
+  // ids behind its candidates, bit for bit: over the LSH pre-filter (its
+  // ranked stable ids) and over exact enumeration of the main base (the
+  // live ids). States: a delta over an index with tombstones in both,
+  // the same state compacted, then fresh inserts and removes on top.
+  util::Rng rng(21);
+  workload::PolygonGenOptions gen;
+  std::vector<Polyline> prototypes;
+  for (int p = 0; p < 12; ++p) {
+    prototypes.push_back(RandomStarPolygon(&rng, gen));
+  }
+  std::vector<Polyline> queries;
+  for (int q = 0; q < 3; ++q) {
+    queries.push_back(workload::JitterVertices(prototypes[q], 0.01, &rng));
+  }
+  util::ThreadPool pool(4);
+  DynamicShapeBase::Options options;
+  options.base.normalize.max_axes = 2;  // Keeps the continuous scans short.
+  options.min_compaction_size = 1000;   // Compact only when told to.
+  options.match.pool = &pool;
+  DynamicShapeBase base(options);
+  auto lsh = lsh::DynamicLshIndex::Create(&base, lsh::LshOptions{});
+  ASSERT_TRUE(lsh.ok());
+  base.SetObserver(lsh->get());
+
+  std::vector<uint64_t> ids;
+  const auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      auto id = base.Insert(workload::JitterVertices(
+          prototypes[ids.size() % prototypes.size()], 0.01, &rng));
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+  };
+  const auto remove_every = [&](size_t from, size_t step) {
+    for (size_t i = from; i < ids.size(); i += step) {
+      if (base.IsLive(ids[i])) {
+        ASSERT_TRUE(base.Remove(ids[i]).ok());
+      }
+    }
+  };
+
+  const auto check = [&](const std::string& state) {
+    for (MatchMeasure measure : kMeasures) {
+      base.match_options().measure = measure;
+      for (const Polyline& query : queries) {
+        auto qnorm = NormalizeQuery(query);
+        ASSERT_TRUE(qnorm.ok());
+        std::vector<uint64_t> lsh_ids;
+        ASSERT_TRUE((*lsh)
+                        ->index()
+                        .Query(qnorm->shape, 0, {}, &lsh_ids, nullptr)
+                        .ok());
+        size_t lsh_copies = 0;
+        for (uint64_t id : lsh_ids) lsh_copies += base.CopiesOf(id).size();
+        for (size_t k : {1, 10}) {
+          const auto want_lsh = FullScoringRanking(base, lsh_ids, query, k);
+          const auto want_exact =
+              FullScoringRanking(base, base.LiveIds(), query, k);
+          ASSERT_FALSE(want_lsh.empty());
+          for (size_t threads : {1, 4}) {
+            base.match_options().num_threads = threads;
+            SCOPED_TRACE(state + " measure " +
+                         std::to_string(static_cast<int>(measure)) + " k " +
+                         std::to_string(k) + " threads " +
+                         std::to_string(threads));
+            MatchStats stats;
+            auto got_lsh = base.MatchCandidates(query, lsh->get(), k, &stats);
+            ASSERT_TRUE(got_lsh.ok());
+            EXPECT_EQ(*got_lsh, want_lsh);
+            EXPECT_EQ(stats.candidates_evaluated, lsh_copies);
+            ExactEnumerationSource exact(&base.main_base());
+            auto got_exact = base.MatchCandidates(query, &exact, k);
+            ASSERT_TRUE(got_exact.ok());
+            EXPECT_EQ(*got_exact, want_exact);
+          }
+        }
+      }
+    }
+  };
+
+  insert(96);
+  ASSERT_TRUE(base.Compact().ok());
+  insert(24);
+  remove_every(0, 7);  // Indexed and delta shapes alike.
+  ASSERT_GT(base.NumDelta(), 0u);
+  ASSERT_GT(base.NumTombstones(), 0u);
+  check("delta+tombstones");
+  ASSERT_TRUE(base.Compact().ok());
+  ASSERT_EQ(base.NumTombstones(), 0u);
+  check("compacted");
+  insert(12);
+  remove_every(3, 11);
+  ASSERT_GT(base.NumDelta(), 0u);
+  check("after compaction");
 }
 
 TEST(BaseIoTest, SaveLoadRoundTrip) {

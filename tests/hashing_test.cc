@@ -1,9 +1,12 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/envelope_matcher.h"
 #include "core/normalize.h"
 #include "hashing/geo_hash_index.h"
 #include "hashing/hash_curves.h"
@@ -24,6 +27,18 @@ Polyline RegularPolygon(int n, double r, Point c = {0, 0},
     v.push_back({c.x + r * std::cos(a), c.y + r * std::sin(a)});
   }
   return Polyline::Closed(std::move(v));
+}
+
+/// The index's k best under `options.measure`: its candidates ranked by
+/// the matcher's verifier.
+util::Result<std::vector<core::MatchResult>> HashMatch(
+    const core::ShapeBase& base, const GeoHashIndex& index,
+    const Polyline& query, size_t k, core::MatchOptions options = {},
+    core::MatchStats* stats = nullptr) {
+  core::EnvelopeMatcher matcher(&base);
+  GeoHashCandidateSource source(&index);
+  options.k = k;
+  return matcher.MatchCandidates(query, &source, options, stats);
 }
 
 TEST(LuneTest, QuarterClassification) {
@@ -220,7 +235,7 @@ TEST(CurveFamilyTest, BothFamiliesDriveRetrieval) {
     options.family = kind;
     auto index = GeoHashIndex::Create(&base, options);
     ASSERT_TRUE(index.ok()) << CurveFamilyKindName(kind);
-    auto results = index->Query(RegularPolygon(7, 1.0), 1);
+    auto results = HashMatch(base, *index, RegularPolygon(7, 1.0), 1);
     ASSERT_TRUE(results.ok());
     ASSERT_FALSE(results->empty());
     EXPECT_EQ(base.shape((*results)[0].shape_id).boundary.size(), 7u)
@@ -242,7 +257,7 @@ class GeoHashIndexTest : public ::testing::Test {
 TEST_F(GeoHashIndexTest, RetrievesExactShape) {
   auto index = GeoHashIndex::Create(&base_);
   ASSERT_TRUE(index.ok());
-  auto results = index->Query(RegularPolygon(9, 1.0), 1);
+  auto results = HashMatch(base_, *index, RegularPolygon(9, 1.0), 1);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
   EXPECT_EQ(base_.shape((*results)[0].shape_id).boundary.size(), 9u);
@@ -257,7 +272,7 @@ TEST_F(GeoHashIndexTest, ApproximateRetrievalUnderDistortion) {
   for (Point& p : distorted.mutable_vertices()) {
     p += Point{rng.Gaussian(0.015), rng.Gaussian(0.015)};
   }
-  auto results = index->Query(distorted, 3);
+  auto results = HashMatch(base_, *index, distorted, 3);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
   EXPECT_EQ(base_.shape((*results)[0].shape_id).boundary.size(), 10u);
@@ -269,7 +284,8 @@ TEST_F(GeoHashIndexTest, InvariantUnderSimilarityTransform) {
   const geom::AffineTransform t = geom::AffineTransform::Translation({7, -3}) *
                                   geom::AffineTransform::Rotation(2.2) *
                                   geom::AffineTransform::Scaling(0.4);
-  auto results = index->Query(RegularPolygon(6, 1.0).Transformed(t), 1);
+  auto results =
+      HashMatch(base_, *index, RegularPolygon(6, 1.0).Transformed(t), 1);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
   EXPECT_EQ(base_.shape((*results)[0].shape_id).boundary.size(), 6u);
@@ -402,6 +418,78 @@ TEST(GeoHashCandidateSourceTest, RepeatedQueriesAreDeterministic) {
     EXPECT_TRUE(stats.truncated);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_TRUE(std::equal(top.begin(), top.end(), first.begin()));
+  }
+}
+
+TEST(GeoHashCandidateSourceTest, VerifierRanksAsFullScoring) {
+  // MatchCandidates over the source ranks exactly as full scoring of
+  // every collected copy: FoldBest over CollectCandidates in copy order,
+  // then RankResults. Ids and distances agree bit for bit; the copy index
+  // may differ only where two copies of one shape tie exactly (regular
+  // polygons have several diameters, hence identical copies).
+  core::ShapeBase base;
+  util::Rng rng(41);
+  for (int n = 4; n <= 12; ++n) {
+    ASSERT_TRUE(base.AddShape(RegularPolygon(n, 1.0)).ok());
+    for (int i = 0; i < 3; ++i) {
+      Polyline p = RegularPolygon(n, 1.0);
+      for (Point& v : p.mutable_vertices()) {
+        v += Point{rng.Gaussian(0.01), rng.Gaussian(0.01)};
+      }
+      ASSERT_TRUE(base.AddShape(p).ok());
+    }
+  }
+  ASSERT_TRUE(base.Finalize().ok());
+  auto index = GeoHashIndex::Create(&base);
+  ASSERT_TRUE(index.ok());
+
+  for (core::MatchMeasure measure :
+       {core::MatchMeasure::kContinuousSymmetric,
+        core::MatchMeasure::kContinuousDirected,
+        core::MatchMeasure::kDiscreteSymmetric,
+        core::MatchMeasure::kDiscreteDirected}) {
+    for (int n = 4; n <= 12; n += 2) {
+      Polyline query = RegularPolygon(n, 2.0, {1, -3}, 0.3);
+      for (Point& v : query.mutable_vertices()) {
+        v += Point{rng.Gaussian(0.02), rng.Gaussian(0.02)};
+      }
+      auto qnorm = core::NormalizeQuery(query);
+      ASSERT_TRUE(qnorm.ok());
+      const core::QueryTarget target(qnorm->shape, {});
+      const auto collected = index->CollectCandidates(qnorm->shape);
+      ASSERT_FALSE(collected.empty());
+      std::unordered_map<core::ShapeId, core::MatchResult> best;
+      for (const auto& [c, count] : collected) {
+        core::FoldBest(
+            {base.copy(c).shape_id, target.Score(base.copy(c).shape, measure),
+             c},
+            &best);
+      }
+      for (size_t k : {1, 10}) {
+        SCOPED_TRACE("measure " + std::to_string(static_cast<int>(measure)) +
+                     " n " + std::to_string(n) + " k " + std::to_string(k));
+        std::vector<core::MatchResult> want;
+        for (const auto& [id, r] : best) want.push_back(r);
+        core::RankResults(&want, k);
+        core::MatchOptions options;
+        options.measure = measure;
+        core::MatchStats stats;
+        auto got = HashMatch(base, *index, query, k, options, &stats);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(stats.candidates_evaluated, collected.size());
+        ASSERT_EQ(got->size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          const core::MatchResult& g = (*got)[i];
+          EXPECT_EQ(g.shape_id, want[i].shape_id) << i;
+          EXPECT_EQ(g.distance, want[i].distance) << i;
+          if (g.copy_index == want[i].copy_index) continue;
+          EXPECT_EQ(base.copy(g.copy_index).shape_id, g.shape_id) << i;
+          EXPECT_EQ(target.Score(base.copy(g.copy_index).shape, measure),
+                    want[i].distance)
+              << i;
+        }
+      }
+    }
   }
 }
 

@@ -52,6 +52,7 @@ TEST_F(GeneratedBaseTest, MatcherAndHashingAgreeOnEasyQueries) {
   core::EnvelopeMatcher matcher(&base);
   auto hash = hashing::GeoHashIndex::Create(&base);
   ASSERT_TRUE(hash.ok());
+  hashing::GeoHashCandidateSource source(&*hash);
 
   util::Rng rng(1);
   int agreements = 0;
@@ -61,7 +62,7 @@ TEST_F(GeneratedBaseTest, MatcherAndHashingAgreeOnEasyQueries) {
         generated_->prototypes[t % generated_->prototypes.size()], 0.005,
         &rng);
     auto exact = matcher.Match(query);
-    auto approx = hash->Query(query, 1);
+    auto approx = matcher.MatchCandidates(query, &source);
     ASSERT_TRUE(exact.ok());
     ASSERT_TRUE(approx.ok());
     ASSERT_FALSE(exact->empty());

@@ -505,9 +505,9 @@ TEST(QueryPrefilterTest, ExactPrefilterKeepsOperatorResults) {
 // --- Dynamic tier ------------------------------------------------------
 
 TEST(DynamicLshTest, ObserverMirrorsInsertsAndRemoves) {
-  auto lsh = DynamicLshIndex::Create(LshOptions{});
-  ASSERT_TRUE(lsh.ok());
   core::DynamicShapeBase base;
+  auto lsh = DynamicLshIndex::Create(&base, LshOptions{});
+  ASSERT_TRUE(lsh.ok());
   base.SetObserver(lsh->get());
 
   util::Rng rng(51);
@@ -526,7 +526,7 @@ TEST(DynamicLshTest, ObserverMirrorsInsertsAndRemoves) {
 
   const Polyline q = Normalized(Jitter(proto, &rng, 0.008));
   std::vector<uint64_t> out;
-  ASSERT_TRUE((*lsh)->Query(q, 0, {}, &out, nullptr).ok());
+  ASSERT_TRUE((*lsh)->index().Query(q, 0, {}, &out, nullptr).ok());
   size_t proto_hits = 0;
   for (uint64_t id : out) {
     if (std::find(ids.begin(), ids.end(), id) != ids.end()) ++proto_hits;
@@ -538,16 +538,16 @@ TEST(DynamicLshTest, ObserverMirrorsInsertsAndRemoves) {
     ASSERT_TRUE(base.Remove(ids[i]).ok());
   }
   out.clear();
-  ASSERT_TRUE((*lsh)->Query(q, 0, {}, &out, nullptr).ok());
+  ASSERT_TRUE((*lsh)->index().Query(q, 0, {}, &out, nullptr).ok());
   for (uint64_t id : out) {
     EXPECT_TRUE(base.IsLive(id)) << "stale candidate " << id;
   }
 }
 
-TEST(DynamicLshTest, CandidatesFeedMatchIds) {
-  auto lsh = DynamicLshIndex::Create(LshOptions{});
-  ASSERT_TRUE(lsh.ok());
+TEST(DynamicLshTest, CandidatesFeedMatchCandidates) {
   core::DynamicShapeBase base;
+  auto lsh = DynamicLshIndex::Create(&base, LshOptions{});
+  ASSERT_TRUE(lsh.ok());
   base.match_options().measure = core::MatchMeasure::kDiscreteSymmetric;
   base.SetObserver(lsh->get());
 
@@ -562,12 +562,13 @@ TEST(DynamicLshTest, CandidatesFeedMatchIds) {
   const Polyline raw_q = Jitter(RegularPolygon(7, 1.0), &rng, 0.008);
   std::vector<uint64_t> candidates;
   ASSERT_TRUE(
-      (*lsh)->Query(Normalized(raw_q), 0, {}, &candidates, nullptr).ok());
+      (*lsh)->index().Query(Normalized(raw_q), 0, {}, &candidates, nullptr)
+          .ok());
   ASSERT_FALSE(candidates.empty());
 
   // Exact verification over the approximate candidates equals the full
   // dynamic Match when the pre-filter recalled the true best.
-  auto verified = base.MatchIds(candidates, raw_q, 3);
+  auto verified = base.MatchCandidates(raw_q, lsh->get(), 3);
   ASSERT_TRUE(verified.ok());
   auto full = base.Match(raw_q, 3);
   ASSERT_TRUE(full.ok());
@@ -577,12 +578,12 @@ TEST(DynamicLshTest, CandidatesFeedMatchIds) {
 }
 
 TEST(DynamicLshTest, SurvivesCompactionViaStableIds) {
-  auto lsh = DynamicLshIndex::Create(LshOptions{});
-  ASSERT_TRUE(lsh.ok());
   core::DynamicShapeBase::Options options;
   options.min_compaction_size = 4;
   options.max_delta_fraction = 0.01;  // Compact aggressively.
   core::DynamicShapeBase base(options);
+  auto lsh = DynamicLshIndex::Create(&base, LshOptions{});
+  ASSERT_TRUE(lsh.ok());
   base.SetObserver(lsh->get());
 
   util::Rng rng(71);
@@ -596,36 +597,39 @@ TEST(DynamicLshTest, SurvivesCompactionViaStableIds) {
   ASSERT_TRUE(base.Compact().ok());
   ASSERT_GT(base.NumCompactions(), 0u);
 
-  // Stable ids survived compaction, so candidates stay valid and
-  // MatchIds still scores them (now via the main base's reverse map).
+  // Stable ids survived compaction, so candidates stay valid and map to
+  // the rebuilt main base's copies.
   std::vector<uint64_t> out;
   ASSERT_TRUE((*lsh)
-                  ->Query(Normalized(Jitter(proto, &rng, 0.008)), 0, {}, &out,
-                          nullptr)
+                  ->index()
+                  .Query(Normalized(Jitter(proto, &rng, 0.008)), 0, {}, &out,
+                         nullptr)
                   .ok());
   ASSERT_FALSE(out.empty());
-  auto verified = base.MatchIds(out, Jitter(proto, &rng, 0.008), 3);
+  auto verified =
+      base.MatchCandidates(Jitter(proto, &rng, 0.008), lsh->get(), 3);
   ASSERT_TRUE(verified.ok());
   EXPECT_FALSE(verified->empty());
 }
 
-TEST(DynamicLshTest, RebuildFromRepopulatesTables) {
+TEST(DynamicLshTest, RebuildRepopulatesTables) {
   core::DynamicShapeBase base;
   util::Rng rng(81);
   const Polyline proto = RegularPolygon(8, 1.0);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(base.Insert(Jitter(proto, &rng, 0.008)).ok());
   }
-  // Attached late: tables are empty until RebuildFrom seeds them.
-  auto lsh = DynamicLshIndex::Create(LshOptions{});
+  // Attached late: tables are empty until Rebuild seeds them.
+  auto lsh = DynamicLshIndex::Create(&base, LshOptions{});
   ASSERT_TRUE(lsh.ok());
   EXPECT_EQ((*lsh)->index().NumSketches(), 0u);
-  ASSERT_TRUE((*lsh)->RebuildFrom(base).ok());
+  ASSERT_TRUE((*lsh)->Rebuild().ok());
   EXPECT_GT((*lsh)->index().NumSketches(), 0u);
   std::vector<uint64_t> out;
   ASSERT_TRUE((*lsh)
-                  ->Query(Normalized(Jitter(proto, &rng, 0.008)), 0, {}, &out,
-                          nullptr)
+                  ->index()
+                  .Query(Normalized(Jitter(proto, &rng, 0.008)), 0, {}, &out,
+                         nullptr)
                   .ok());
   EXPECT_GE(out.size(), 8u);
 }
@@ -633,9 +637,9 @@ TEST(DynamicLshTest, RebuildFromRepopulatesTables) {
 // --- Concurrency (the TSan target) -------------------------------------
 
 TEST(DynamicLshTest, ConcurrentQueriesDuringInserts) {
-  auto lsh = DynamicLshIndex::Create(LshOptions{});
-  ASSERT_TRUE(lsh.ok());
   core::DynamicShapeBase base;
+  auto lsh = DynamicLshIndex::Create(&base, LshOptions{});
+  ASSERT_TRUE(lsh.ok());
   base.SetObserver(lsh->get());
 
   util::Rng seed_rng(91);
@@ -653,7 +657,7 @@ TEST(DynamicLshTest, ConcurrentQueriesDuringInserts) {
       std::vector<uint64_t> out;
       LshIndex::QueryStats stats;
       while (!stop.load(std::memory_order_acquire)) {
-        EXPECT_TRUE((*lsh)->Query(q, 16, {}, &out, &stats).ok());
+        EXPECT_TRUE((*lsh)->index().Query(q, 16, {}, &out, &stats).ok());
         queries.fetch_add(1, std::memory_order_relaxed);
         // Let the writer through: glibc's rwlock prefers readers, and a
         // tight shared-lock loop would starve the insert thread.

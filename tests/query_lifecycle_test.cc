@@ -686,7 +686,8 @@ TEST(DynamicLifecycleTest, ControlsApplyToMainAndDelta) {
               util::StatusCode::kInvalidArgument);
     EXPECT_EQ(base->MatchBatch({query}, 0).status().code(),
               util::StatusCode::kInvalidArgument);
-    EXPECT_EQ(base->MatchIds(base->LiveIds(), query, 0).status().code(),
+    core::ExactEnumerationSource source(&base->main_base());
+    EXPECT_EQ(base->MatchCandidates(query, &source, 0).status().code(),
               util::StatusCode::kInvalidArgument);
   }
 }

@@ -263,6 +263,60 @@ TEST_F(QueryFixture, DisjointOperator) {
   }
 }
 
+TEST(TopoStrategyTest, BothStrategiesApplyTheConfiguredMeasure) {
+  // Image 0 holds two disjoint rectangles inscribed in a hexagon: their
+  // vertices lie on the hexagon's boundary while two of their edges cut
+  // across it, so under the discrete directed measure they match the
+  // hexagon exactly and under the other measures they do not. Image 1
+  // (two disjoint hexagons) matches under every measure. Strategy 1's
+  // direct g_similar test and strategy 2's shape_similar sets must agree
+  // under each measure.
+  const auto inscribed_rectangle = [](Point c) {
+    std::vector<Point> v;
+    for (int i : {0, 1, 3, 4}) {
+      const double a = M_PI / 3 * i;
+      v.push_back({c.x + std::cos(a), c.y + std::sin(a)});
+    }
+    return Polyline::Closed(std::move(v));
+  };
+  ImageBase images;
+  ASSERT_TRUE(images
+                  .AddImage({inscribed_rectangle({0, 0}),
+                             inscribed_rectangle({5, 0})},
+                            "rectangles")
+                  .ok());
+  ASSERT_TRUE(images
+                  .AddImage({RegularPolygon(6, 1.0, {0, 10}),
+                             RegularPolygon(6, 1.0, {5, 10})},
+                            "hexagons")
+                  .ok());
+  ASSERT_TRUE(images.Finalize().ok());
+  const Polyline hexagon = RegularPolygon(6, 2.0, {-3, 1});
+  for (core::MatchMeasure measure :
+       {core::MatchMeasure::kContinuousSymmetric,
+        core::MatchMeasure::kContinuousDirected,
+        core::MatchMeasure::kDiscreteSymmetric,
+        core::MatchMeasure::kDiscreteDirected}) {
+    SCOPED_TRACE(static_cast<int>(measure));
+    QueryContextOptions options;
+    options.match.measure = measure;
+    QueryContext context(&images, options);
+    auto drive = context.EvalTopological(Relation::kDisjoint, hexagon, hexagon,
+                                         std::nullopt,
+                                         TopoStrategy::kDriveSmaller);
+    auto intersect = context.EvalTopological(
+        Relation::kDisjoint, hexagon, hexagon, std::nullopt,
+        TopoStrategy::kIntersectImages);
+    ASSERT_TRUE(drive.ok());
+    ASSERT_TRUE(intersect.ok());
+    EXPECT_EQ(*drive, *intersect);
+    EXPECT_EQ(*intersect,
+              measure == core::MatchMeasure::kDiscreteDirected
+                  ? (ImageSet{0, 1})
+                  : (ImageSet{1}));
+  }
+}
+
 TEST_F(QueryFixture, ComplementViaPlanner) {
   // similar(tri) & ~contain(square, tri): image 0 has the containment,
   // image 2 has a triangle without it.
