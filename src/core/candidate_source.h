@@ -31,14 +31,19 @@ struct CandidateSourceStats {
   /// Mirror of a non-OK return: the lifecycle stop (kDeadlineExceeded /
   /// kCancelled) observed mid-generation.
   util::Status termination;
+  /// A multi-round source has more to emit once this round is verified:
+  /// the driver calls NextRound.
+  bool more_rounds = false;
 };
 
-/// The candidate-generation seam of the tiered retrieval pipeline: one
-/// interface in front of the hash-curve index (src/hashing/), the LSH
-/// pre-filter (src/lsh/) and plain exhaustive enumeration, so
-/// EnvelopeMatcher::MatchCandidates and the query planner can compose
-/// "approximate first pass -> exact verification" per query budget
-/// without naming a concrete index (DESIGN.md section 14).
+/// The candidate-generation seam of the retrieval pipeline: one interface
+/// in front of every way of choosing the copies to verify, so one driver
+/// (EnvelopeMatcher::MatchCandidates, and Match over the envelope) runs
+/// "generate a round -> verify it -> rank" without naming a concrete
+/// index (DESIGN.md section 14.3). The sources: the paper's
+/// epsilon-envelope (EnvelopeMatcher's own, the one multi-round source),
+/// the LSH pre-filter (src/lsh/, static and dynamic), the hash-curve index
+/// (src/hashing/) and plain exhaustive enumeration.
 ///
 /// Contract:
 ///  - `normalized_query` is the query already normalized about its true
@@ -49,11 +54,13 @@ struct CandidateSourceStats {
 ///    query/options/index state yields a bit-identical sequence.
 ///  - `max_candidates` == 0 means unlimited; otherwise at most that many
 ///    candidates are emitted and `stats->truncated` is set when more
-///    existed. Truncation is a normal, deterministic outcome: OK.
+///    existed. Truncation is a normal, deterministic outcome: OK. The
+///    driver verifies a truncated round, then stops with
+///    kResourceExhausted.
 ///  - `options.deadline` / `options.cancel_token` are polled at table
 ///    granularity. A stop returns its status (kDeadlineExceeded /
 ///    kCancelled) with the candidates collected so far left in `out`;
-///    the caller decides whether that prefix is usable.
+///    the driver verifies none of them and counts them as skipped.
 ///  - Any other non-OK return is a real failure; `out` contents are
 ///    unspecified.
 class CandidateSource {
@@ -71,6 +78,26 @@ class CandidateSource {
                                 const MatchOptions& options,
                                 std::vector<uint32_t>* out,
                                 CandidateSourceStats* stats) = 0;
+
+  /// Multi-round sources override this; the driver calls it after
+  /// verifying a round whose stats set `more_rounds`. `verified` is the
+  /// verifier's outcome of that round: OK, or the lifecycle stop that ends
+  /// the query. `kth_best` is the verifier's k-th best distance so far
+  /// (+inf until k shapes are ranked, and in collect mode), the feedback
+  /// an early-exit rule reads. On OK the source emits its next round into
+  /// `out` as Generate does, or nothing with `more_rounds` clear once it
+  /// is done. On a stop it returns `verified`, leaving in `out` what it
+  /// would still have emitted; those count as skipped. `stats` is never
+  /// null.
+  virtual util::Status NextRound(const util::Status& verified,
+                                 double /*kth_best*/,
+                                 const MatchOptions& /*options*/,
+                                 std::vector<uint32_t>* out,
+                                 CandidateSourceStats* stats) {
+    out->clear();
+    *stats = CandidateSourceStats{};
+    return verified;
+  }
 };
 
 /// The trivial exhaustive tier: emits every copy index of the base in

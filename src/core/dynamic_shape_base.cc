@@ -296,46 +296,45 @@ const std::vector<uint32_t>& DynamicShapeBase::CopiesOf(uint64_t id) const {
 util::Result<std::vector<std::pair<uint64_t, double>>>
 DynamicShapeBase::Match(const geom::Polyline& query, size_t k,
                         MatchStats* stats) {
-  return MatchWith(matcher_.get(), nullptr, query, k, stats);
+  GEOSIR_ASSIGN_OR_RETURN(std::vector<MatchResult> ranked,
+                          matcher_->Match(query, MatchOptionsFor(k), stats));
+  return StableIds(ranked, k);
 }
 
 util::Result<std::vector<std::pair<uint64_t, double>>>
 DynamicShapeBase::MatchCandidates(const geom::Polyline& query,
                                   CandidateSource* source, size_t k,
                                   MatchStats* stats) {
-  if (source == nullptr) {
-    return util::Status::InvalidArgument("MatchCandidates requires a source");
-  }
-  return MatchWith(matcher_.get(), source, query, k, stats);
+  GEOSIR_ASSIGN_OR_RETURN(
+      std::vector<MatchResult> ranked,
+      matcher_->MatchCandidates(query, source, MatchOptionsFor(k), stats));
+  return StableIds(ranked, k);
 }
 
 util::Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
 DynamicShapeBase::MatchBatch(const std::vector<geom::Polyline>& queries,
-                             size_t k, std::vector<MatchStats>* stats) {
+                             size_t k, std::vector<MatchStats>* stats,
+                             util::Deadline deadline) {
+  MatchOptions options = MatchOptionsFor(k);
+  options.deadline = util::Deadline::Earliest(options.deadline, deadline);
   // Matchers run over the (immutable during the batch) main base.
-  std::vector<std::vector<std::pair<uint64_t, double>>> results(
-      queries.size());
-  GEOSIR_RETURN_IF_ERROR(RunMatchBatch(
-      main_.get(), queries.size(), options_.match, stats,
-      [&](EnvelopeMatcher* matcher, size_t i, MatchStats* query_stats) {
-        auto result = MatchWith(matcher, nullptr, queries[i], k, query_stats);
-        if (result.ok()) results[i] = std::move(result).value();
-        return result.status();
-      }));
+  GEOSIR_ASSIGN_OR_RETURN(std::vector<std::vector<MatchResult>> ranked,
+                          core::MatchBatch(*main_, queries, options, stats));
+  std::vector<std::vector<std::pair<uint64_t, double>>> results;
+  for (const std::vector<MatchResult>& one : ranked) {
+    results.push_back(StableIds(one, k));
+  }
   return results;
 }
 
-util::Result<std::vector<std::pair<uint64_t, double>>>
-DynamicShapeBase::MatchWith(EnvelopeMatcher* matcher, CandidateSource* source,
-                            const geom::Polyline& query, size_t k,
-                            MatchStats* stats) const {
+MatchOptions DynamicShapeBase::MatchOptionsFor(size_t k) const {
   MatchOptions options = options_.match;
   options.k = k;
-  GEOSIR_ASSIGN_OR_RETURN(
-      std::vector<MatchResult> ranked,
-      source == nullptr
-          ? matcher->Match(query, options, stats)
-          : matcher->MatchCandidates(query, source, options, stats));
+  return options;
+}
+
+std::vector<std::pair<uint64_t, double>> DynamicShapeBase::StableIds(
+    const std::vector<MatchResult>& ranked, size_t k) const {
   // ShapeIds ascend with stable ids, so the matcher's (distance, ShapeId)
   // order is the (distance, stable id) order. Collect mode is cut to k.
   std::vector<std::pair<uint64_t, double>> results;

@@ -8,6 +8,7 @@
 #include "core/envelope_matcher.h"
 #include "core/normalize.h"
 #include "core/shape_base.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace geosir::core {
@@ -88,10 +89,12 @@ class DynamicShapeBase {
   /// one matcher per worker. result[i] corresponds to queries[i];
   /// per-query results are bit-identical to a serial Match loop for every
   /// thread count. `stats`, when non-null, is resized to one entry per
-  /// query. No Insert/Remove/Compact may run concurrently.
+  /// query. Every query runs under the earlier of options().match.deadline
+  /// and `deadline`. No Insert/Remove/Compact may run concurrently.
   util::Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
   MatchBatch(const std::vector<geom::Polyline>& queries, size_t k = 1,
-             std::vector<MatchStats>* stats = nullptr);
+             std::vector<MatchStats>* stats = nullptr,
+             util::Deadline deadline = {});
 
   /// EXTENSION (tiered retrieval): k-best retrieval over the candidates
   /// `source` emits instead of envelope growth: one
@@ -199,13 +202,13 @@ class DynamicShapeBase {
   uint64_t ApplyInsert(Shape shape, std::vector<NormalizedCopy> copies);
   /// Shared tail of Remove and ReplayRemove (same no-journal rule).
   void ApplyRemove(uint64_t id);
-  /// Match, MatchBatch and MatchCandidates: one `matcher` pass over the
-  /// main base (its tail included) — envelope growth when `source` is
-  /// null, else the source's candidates — mapped to stable ids and cut to
-  /// k. Mutates only `matcher`'s scratch.
-  util::Result<std::vector<std::pair<uint64_t, double>>> MatchWith(
-      EnvelopeMatcher* matcher, CandidateSource* source,
-      const geom::Polyline& query, size_t k, MatchStats* stats) const;
+  /// options().match asking for k results.
+  MatchOptions MatchOptionsFor(size_t k) const;
+  /// Match, MatchBatch and MatchCandidates: one matcher pass over the main
+  /// base (its tail included), its ranking mapped to stable ids and cut
+  /// to k.
+  std::vector<std::pair<uint64_t, double>> StableIds(
+      const std::vector<MatchResult>& ranked, size_t k) const;
 
   Options options_;
   DynamicBaseJournal* journal_ = nullptr;  // Non-owning.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -41,12 +42,10 @@ struct MatcherMetrics {
   obs::Counter* candidates_abandoned;
   obs::Counter* partials;
   obs::Counter* degraded;
-  obs::Counter* term_early_exit;
-  obs::Counter* term_exhausted;
-  obs::Counter* term_deadline;
-  obs::Counter* term_cancelled;
-  obs::Counter* term_budget;
-  obs::Counter* term_error;
+  // By kTerminations; the last, "error", also takes unknown reasons.
+  static constexpr const char* kTerminations[] = {
+      "early_exit", "exhausted", "deadline", "cancelled", "budget", "error"};
+  obs::Counter* terminations[std::size(kTerminations)];
   obs::Histogram* latency;
   obs::Counter* prefilter_queries;
   obs::Counter* prefilter_candidates;
@@ -80,18 +79,11 @@ struct MatcherMetrics {
       m->degraded = r.GetCounter(
           "geosir_matcher_degraded_total",
           "Queries whose index skipped unreadable subtrees");
-      const char* term_name = "geosir_matcher_terminations_total";
-      const char* term_help = "Match terminations by reason";
-      m->term_early_exit =
-          r.GetCounter(term_name, term_help, "reason=\"early_exit\"");
-      m->term_exhausted =
-          r.GetCounter(term_name, term_help, "reason=\"exhausted\"");
-      m->term_deadline =
-          r.GetCounter(term_name, term_help, "reason=\"deadline\"");
-      m->term_cancelled =
-          r.GetCounter(term_name, term_help, "reason=\"cancelled\"");
-      m->term_budget = r.GetCounter(term_name, term_help, "reason=\"budget\"");
-      m->term_error = r.GetCounter(term_name, term_help, "reason=\"error\"");
+      for (size_t i = 0; i < std::size(kTerminations); ++i) {
+        m->terminations[i] = r.GetCounter(
+            "geosir_matcher_terminations_total", "Match terminations by reason",
+            std::string("reason=\"") + kTerminations[i] + "\"");
+      }
       m->latency = r.GetHistogram("geosir_matcher_latency_seconds",
                                   "End-to-end Match latency",
                                   obs::LatencyBucketsSeconds());
@@ -112,13 +104,10 @@ struct MatcherMetrics {
     return *metrics;
   }
 
-  obs::Counter* TerminationCounter(const char* reason) const {
-    if (std::string_view(reason) == "early_exit") return term_early_exit;
-    if (std::string_view(reason) == "exhausted") return term_exhausted;
-    if (std::string_view(reason) == "deadline") return term_deadline;
-    if (std::string_view(reason) == "cancelled") return term_cancelled;
-    if (std::string_view(reason) == "budget") return term_budget;
-    return term_error;
+  obs::Counter* TerminationCounter(std::string_view reason) const {
+    const auto* last = std::end(kTerminations) - 1;
+    return terminations[std::find(std::begin(kTerminations), last, reason) -
+                        std::begin(kTerminations)];
   }
 };
 
@@ -145,6 +134,21 @@ bool IsDiscrete(MatchMeasure measure) {
 util::ThreadPool* ResolvePool(const MatchOptions& options) {
   if (options.num_threads <= 1) return nullptr;
   return options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
+}
+
+/// The option checks every ranking entry point shares: a finite
+/// collect_threshold, and a positive result count `k` outside collect
+/// mode (kInvalidArgument otherwise).
+util::Status ValidateRanking(const MatchOptions& options) {
+  if (!std::isfinite(options.collect_threshold)) {
+    return util::Status::InvalidArgument(
+        "epsilon/stop/threshold options must be finite");
+  }
+  if (options.k == 0 && options.collect_threshold <= 0.0) {
+    return util::Status::InvalidArgument(
+        "k must be positive outside collect mode");
+  }
+  return util::Status::OK();
 }
 
 }  // namespace
@@ -205,24 +209,6 @@ struct EnvelopeMatcher::Call {
       trace->Finish(reason, st.partial, st.degraded);
       if (slow_log.armed()) slow_log.Offer(*trace);
     }
-  }
-
-  /// Ranks the best-per-shape table through RankAndClose, then finishes
-  /// with `natural_reason` when `stop` is OK and the stop's label
-  /// otherwise.
-  util::Result<std::vector<MatchResult>> Close(
-      const std::unordered_map<ShapeId, MatchResult>& best_per_shape,
-      const MatchOptions& options, const util::Status& stop,
-      const char* natural_reason) {
-    std::vector<MatchResult> results;
-    results.reserve(best_per_shape.size());
-    for (const auto& [id, result] : best_per_shape) results.push_back(result);
-    util::Status status = RankAndClose(&results, options.k,
-                                       options.collect_threshold, stop, &st);
-    any_result = !results.empty();
-    Finish(stop.ok() ? natural_reason : StopReason(stop));
-    if (!status.ok()) return status;
-    return results;
   }
 
   MatchStats local_stats;
@@ -313,44 +299,9 @@ class EnvelopeMatcher::AbandonBound {
   std::unordered_map<ShapeId, MatchResult> best_;
 };
 
-util::Status ValidateRanking(const MatchOptions& options, size_t k) {
-  if (!std::isfinite(options.collect_threshold)) {
-    return util::Status::InvalidArgument(
-        "epsilon/stop/threshold options must be finite");
-  }
-  if (k == 0 && options.collect_threshold <= 0.0) {
-    return util::Status::InvalidArgument(
-        "k must be positive outside collect mode");
-  }
-  return util::Status::OK();
-}
-
 EnvelopeMatcher::EnvelopeMatcher(const ShapeBase* base) : base_(base) {
   vertex_epoch_.assign(base_->NumVertices(), 0);
   copies_.assign(base_->NumIndexedCopies(), CopyScratch{});
-}
-
-util::Result<NormalizedCopy> EnvelopeMatcher::Begin(const Polyline& query,
-                                                    const MatchOptions& options,
-                                                    Call* call) {
-  util::Status entry = call->control.Check();
-  if (!entry.ok()) {
-    call->st.termination = entry;
-    call->Finish(StopReason(entry));
-    return entry;
-  }
-  // Bind the control for layers below that cannot take per-call
-  // parameters: the SimplexIndex traversal (external backends poll it per
-  // node) and the storage retry loop (no retrying past the deadline).
-  // The search runs on this thread, so a thread-local binding reaches
-  // exactly this query's index work.
-  call->scoped.emplace(&call->control);
-  // The tail may have grown since the last call.
-  shape_best_.resize(base_->NumShapes(),
-                     std::numeric_limits<double>::infinity());
-  GEOSIR_ASSIGN_OR_RETURN(NormalizedCopy qnorm, NormalizeQuery(query));
-  target_ = std::make_unique<QueryTarget>(qnorm.shape, options.similarity);
-  return qnorm;
 }
 
 util::Status EnvelopeMatcher::Verify(
@@ -439,6 +390,408 @@ util::Status EnvelopeMatcher::Verify(
   return stop;
 }
 
+/// The epsilon-envelope of Section 2.5 as the driver's one multi-round
+/// source. Generate fixes the schedule eps_1 -> eps_max and emits round
+/// one; NextRound applies the stop rule to the verifier's k-th best, then
+/// grows the envelope and emits the copies that newly reached the
+/// (1 - beta) occupancy threshold. The last round is the base's live
+/// unindexed tail. The source keeps the envelope's share of MatchStats
+/// and one RoundTrace per round, in the matcher's epoch-stamped scratch.
+class EnvelopeMatcher::EnvelopeSource final : public CandidateSource {
+ public:
+  EnvelopeSource(EnvelopeMatcher* matcher, Call* call)
+      : m_(*matcher), base_(*matcher->base_), call_(*call), st_(call->st) {}
+
+  const char* name() const override { return "envelope"; }
+
+  util::Status Generate(const Polyline& normalized_query,
+                        size_t max_candidates, const MatchOptions& options,
+                        std::vector<uint32_t>* out,
+                        CandidateSourceStats* stats) override {
+    out->clear();
+    q_ = &normalized_query;
+    max_candidates_ = max_candidates;
+    // n and p count the indexed vertices and copies only, removal-marked
+    // ones included: the envelope schedule is the static base's.
+    const double n = std::max<size_t>(1, base_.NumVertices());
+    const double p = std::max<size_t>(1, base_.NumIndexedCopies());
+    const double l_q = std::max(1e-9, q_->Perimeter());
+
+    // Step 1: initial envelope width chosen so the expected number of pool
+    // vertices inside it is about one shape's worth (area ratio
+    // heuristic), eps_1 = A / (2 p l_Q). Step 5's stop bound multiplies by
+    // log^3 n.
+    eps_ = options.initial_epsilon > 0.0 ? options.initial_epsilon
+                                         : kLuneArea / (2.0 * p * l_q);
+    const double log_n = Log2(n);
+    eps_max_ = options.max_epsilon > 0.0
+                   ? options.max_epsilon
+                   : std::max(eps_ * log_n * log_n * log_n,
+                              eps_ * options.growth);
+    if (options.collect_threshold > 0.0) {
+      // Grow far enough that every shape within the threshold has become a
+      // candidate (Markov bound; beta = 0 degenerates to "all vertices
+      // in").
+      eps_max_ = std::max(eps_max_, options.collect_threshold /
+                                        std::max(options.beta, 0.05));
+    }
+    st_.initial_epsilon = eps_;
+    st_.max_epsilon = eps_max_;
+
+    // Fresh epoch; all per-copy/per-vertex scratch self-invalidates. On
+    // wrap-around the stamps of the last cycle would alias (and 0, their
+    // initial value, would read as "counted"), so clear them first.
+    if (++m_.epoch_ == 0) {
+      std::fill(m_.vertex_epoch_.begin(), m_.vertex_epoch_.end(), 0);
+      for (CopyScratch& copy : m_.copies_) copy.epoch = 0;
+      m_.epoch_ = 1;
+    }
+    // Snapshot the index's fault counters so this query's degradation (an
+    // external backend skipping unreadable subtrees) can be reported in
+    // the stats without charging it for earlier queries.
+    index_before_ = base_.index().stats();
+    // No rounds when nothing is indexed: the tail is the whole base.
+    if (base_.NumIndexedCopies() == 0) {
+      return End(util::Status::OK(), out, stats);
+    }
+    return Round(options, out, stats);
+  }
+
+  util::Status NextRound(const util::Status& verified, double kth_best,
+                         const MatchOptions& options,
+                         std::vector<uint32_t>* out,
+                         CandidateSourceStats* stats) override {
+    *stats = CandidateSourceStats{};
+    out->clear();
+    if (tail_) {  // The tail was the last round.
+      TailEvent();
+      return verified;
+    }
+    FlushRoundTrace();
+    if (!verified.ok()) return End(verified, out, stats);
+    ++st_.rounds_completed;
+    // Early exit: every unevaluated copy still has > beta of its vertices
+    // outside the eps-envelope, so its (discrete, directed) average
+    // distance exceeds beta * eps; once the k-th best is below that, no
+    // unseen shape can displace it. Either natural finish overrides a
+    // budget hit in the round just verified.
+    st_.final_epsilon = eps_;
+    if (options.collect_threshold <= 0.0 && options.stop_factor > 0.0 &&
+        kth_best <= options.stop_factor * options.beta * eps_) {
+      st_.stopped_early = true;
+      return End(util::Status::OK(), out, stats);
+    }
+    if (eps_ >= eps_max_) {
+      st_.exhausted = true;
+      return End(util::Status::OK(), out, stats);
+    }
+    if (!budget_stop_.ok()) return End(budget_stop_, out, stats);
+    eps_prev_ = eps_;
+    eps_ = std::min(eps_ * options.growth, eps_max_);
+    return Round(options, out, stats);
+  }
+
+ private:
+  /// One epsilon-round (steps 2-3): reports the vertices in the ring
+  /// between the previous envelope and this one, counts each copy's
+  /// vertices inside, and emits the copies that reached the occupancy
+  /// threshold. A vertex or candidate budget hit here ends the envelope in
+  /// NextRound, once the stop rule has been applied.
+  util::Status Round(const MatchOptions& options, std::vector<uint32_t>* out,
+                     CandidateSourceStats* stats) {
+    // Round-entry checkpoint (also the per-round budget gate).
+    const WorkBudget& budget = options.budget;
+    util::Status stop = call_.control.Check();
+    if (stop.ok() && budget.max_rounds > 0 &&
+        st_.iterations >= budget.max_rounds) {
+      stop = util::Status::ResourceExhausted("round budget exhausted");
+    }
+    if (!stop.ok()) return End(stop, out, stats);
+    ++st_.iterations;
+    touched_.clear();
+    if (call_.trace != nullptr) {
+      round_open_ = true;
+      round_at_ms_ = call_.trace->ElapsedMs();
+      round_entry_ = st_;
+      index_entry_ = base_.index().stats();
+    }
+
+    // A deadline / cancel stop abandons the round without emitting any of
+    // its candidates: a query on its way out must not start new
+    // similarity integrals. A budget stop (kResourceExhausted) still emits
+    // what was admitted: budgets are deterministic cutoffs, not
+    // emergencies.
+    util::Status hard_stop;
+    const QueryTarget& target = *m_.target_;
+    std::vector<uint32_t>& vertex_epoch = m_.vertex_epoch_;
+    std::vector<CopyScratch>& copies = m_.copies_;
+    const uint32_t epoch = m_.epoch_;
+    const geom::EnvelopeRingCover cover =
+        geom::BuildEnvelopeRingCover(*q_, eps_prev_, eps_);
+    size_t ring_evals = 0;  // Flushed to the kernel counter once per round.
+    for (const geom::Triangle& tri : cover.triangles) {
+      base_.index().ReportInTriangle(
+          tri, [&](const rangesearch::IndexedPoint& ip) {
+            if (!hard_stop.ok()) return;  // Drain the traversal cheaply.
+            if (budget.max_vertex_reports > 0 &&
+                st_.vertices_reported >= budget.max_vertex_reports) {
+              if (budget_stop_.ok()) {
+                budget_stop_ = util::Status::ResourceExhausted(
+                    "vertex-report budget exhausted");
+              }
+              return;
+            }
+            ++st_.vertices_reported;
+            // Amortized deadline/cancel poll: one Check per 1024 reports
+            // keeps the overhead unmeasurable on the hot path.
+            if ((st_.vertices_reported & 1023u) == 0) {
+              hard_stop = call_.control.Check();
+              if (!hard_stop.ok()) return;
+            }
+            // Both vertex-indexed loads miss cache on a large base (ids
+            // arrive in kd order, not pool order); issuing them together
+            // overlaps the two misses.
+            const uint32_t copy_idx = base_.CopyOfVertex(ip.id);
+            if (vertex_epoch[ip.id] == epoch) return;  // Deduplicated.
+            // Exact membership: the cover is a superset of the ring.
+            ++ring_evals;
+            const double d = target.Distance(ip.p);
+            if (d > eps_) return;
+            vertex_epoch[ip.id] = epoch;
+            ++st_.vertices_accepted;
+            CopyScratch& copy = copies[copy_idx];
+            if (copy.epoch != epoch) {
+              copy.epoch = epoch;
+              copy.count = 0;
+              copy.evaluated = 0;
+            }
+            if (copy.touch_iter != st_.iterations || copy.count == 0) {
+              copy.touch_iter = static_cast<uint32_t>(st_.iterations);
+              touched_.push_back(copy_idx);
+            }
+            ++copy.count;
+          });
+      // A fail-fast external backend records the I/O error it hit (the
+      // reporting interface itself is void); surface it instead of
+      // returning a silently incomplete match. An external backend may
+      // also have observed the thread-local lifecycle control and aborted
+      // its traversal — that is a stop, not a malfunction.
+      util::Status index_status = base_.index().TakeLastError();
+      if (!index_status.ok()) {
+        if (!util::IsLifecycleStop(index_status.code())) {
+          FlushRoundTrace();
+          return index_status;
+        }
+        if (hard_stop.ok()) hard_stop = index_status;
+      }
+      if (!hard_stop.ok() || !budget_stop_.ok()) break;
+    }
+    geom::CountBatchedEdges(ring_evals * target.flat_edges());
+
+    // Step 3: emit the copies that reached the (1 - beta) occupancy
+    // threshold and have not been emitted yet. When the query is stopping,
+    // qualifying copies are counted as skipped instead — under a candidate
+    // budget this cutoff is deterministic (the range-search phase is
+    // single-threaded, so `touched_` has the same order for every thread
+    // count).
+    for (uint32_t copy_idx : touched_) {
+      CopyScratch& scratch = copies[copy_idx];
+      if (scratch.evaluated) continue;
+      const NormalizedCopy& copy = base_.copy(copy_idx);
+      if (base_.removed(copy.shape_id)) continue;  // Never a candidate.
+      const size_t num_vertices = copy.shape.size();
+      const size_t needed = static_cast<size_t>(
+          std::ceil((1.0 - options.beta) * static_cast<double>(num_vertices)));
+      // +2: the copy's axis vertices sit at (0,0)/(1,0), on the
+      // normalized query's boundary, hence inside every envelope. They
+      // are not indexed (see ShapeBase::AddShape), so credit them here.
+      if (scratch.count + 2 < std::max<size_t>(1, needed)) continue;
+      if (!hard_stop.ok()) {
+        ++st_.candidates_skipped;
+        continue;
+      }
+      if (max_candidates_ > 0 &&
+          st_.candidates_evaluated + out->size() >= max_candidates_) {
+        if (budget_stop_.ok()) {
+          budget_stop_ =
+              util::Status::ResourceExhausted("candidate budget exhausted");
+        }
+        ++st_.candidates_skipped;
+        continue;
+      }
+      scratch.evaluated = 1;
+      out->push_back(copy_idx);
+    }
+    if (!hard_stop.ok()) return End(hard_stop, out, stats);
+    stats->more_rounds = true;
+    return util::Status::OK();
+  }
+
+  /// The envelope is done: naturally (`stop` OK) or by a lifecycle stop.
+  /// Either way the live copies of the unindexed tail, which no envelope
+  /// reaches, come last: verified directly against the rounds' bound as
+  /// the final round, truncated at the candidate budget left, or, when
+  /// stopping, returned with the stop as skipped.
+  util::Status End(const util::Status& stop, std::vector<uint32_t>* out,
+                   CandidateSourceStats* stats) {
+    FlushRoundTrace();
+    const rangesearch::QueryStats& index = base_.index().stats();
+    st_.skipped_subtrees = static_cast<size_t>(
+        index.subtrees_skipped - index_before_.subtrees_skipped);
+    st_.skipped_leaves =
+        static_cast<size_t>(index.leaves_skipped - index_before_.leaves_skipped);
+    st_.degraded = st_.skipped_subtrees > 0;
+    for (auto c = static_cast<uint32_t>(base_.NumIndexedCopies());
+         c < base_.NumCopies(); ++c) {
+      if (!base_.removed(base_.copy(c).shape_id)) out->push_back(c);
+    }
+    tail_ = out->size();
+    if (!stop.ok()) {
+      TailEvent();
+      return stop;
+    }
+    const size_t left = max_candidates_ - std::min(max_candidates_,
+                                                   st_.candidates_evaluated);
+    if (max_candidates_ > 0 && out->size() > left) {
+      st_.candidates_skipped += out->size() - left;
+      out->resize(left);
+      stats->truncated = true;
+    }
+    stats->more_rounds = true;  // TailEvent follows the verification.
+    return util::Status::OK();
+  }
+
+  void TailEvent() const {
+    if (call_.trace != nullptr && *tail_ > 0) {
+      call_.trace->AddEvent("tail",
+                            std::to_string(*tail_) + " unindexed copies");
+    }
+  }
+
+  /// Closes the open round's RoundTrace: the stats counters' deltas since
+  /// round entry. Only kept when tracing.
+  void FlushRoundTrace() {
+    if (!round_open_) return;
+    round_open_ = false;
+    const MatchStats& entry = round_entry_;
+    const rangesearch::QueryStats& index = base_.index().stats();
+    call_.trace->AddRound(obs::RoundTrace{
+        st_.iterations, eps_, call_.trace->ElapsedMs() - round_at_ms_,
+        st_.vertices_reported - entry.vertices_reported,
+        st_.vertices_accepted - entry.vertices_accepted,
+        st_.candidates_evaluated - entry.candidates_evaluated,
+        st_.candidates_skipped - entry.candidates_skipped,
+        st_.candidates_abandoned - entry.candidates_abandoned,
+        index.nodes_visited - index_entry_.nodes_visited,
+        index.subtrees_skipped - index_entry_.subtrees_skipped});
+  }
+
+  EnvelopeMatcher& m_;
+  const ShapeBase& base_;
+  Call& call_;
+  MatchStats& st_;
+  const Polyline* q_ = nullptr;
+  size_t max_candidates_ = 0;
+  double eps_prev_ = 0.0;
+  double eps_ = 0.0;
+  double eps_max_ = 0.0;
+  rangesearch::QueryStats index_before_;  // At query entry.
+  util::Status budget_stop_;  // A round's vertex or candidate budget hit.
+  std::vector<uint32_t> touched_;  // Copies touched in this round.
+  std::optional<size_t> tail_;  // Live tail copies, once emitted.
+  // The open round's baseline, when tracing.
+  bool round_open_ = false;
+  double round_at_ms_ = 0.0;
+  MatchStats round_entry_;
+  rangesearch::QueryStats index_entry_;
+};
+
+util::Result<std::vector<MatchResult>> EnvelopeMatcher::Run(
+    const Polyline& query, CandidateSource* source, const MatchOptions& options,
+    Call* call, AccessTrace* trace) {
+  MatchStats& st = call->st;
+  util::Status status = call->control.Check();
+  if (!status.ok()) {
+    st.termination = status;
+    call->Finish(StopReason(status));
+    return status;
+  }
+  // Bind the control for layers below that cannot take per-call
+  // parameters: the SimplexIndex traversal (external backends poll it per
+  // node) and the storage retry loop (no retrying past the deadline).
+  // The search runs on this thread, so a thread-local binding reaches
+  // exactly this query's index work.
+  call->scoped.emplace(&call->control);
+  // The tail may have grown since the last call.
+  shape_best_.resize(base_->NumShapes(),
+                     std::numeric_limits<double>::infinity());
+  GEOSIR_ASSIGN_OR_RETURN(const NormalizedCopy qnorm, NormalizeQuery(query));
+  target_ = std::make_unique<QueryTarget>(qnorm.shape, options.similarity);
+
+  // The verifier's bound and best result per shape across all rounds; its
+  // k-th best is the feedback a multi-round source's stop rule reads.
+  AbandonBound bound(options, &shape_best_);
+  CandidateSourceStats round_stats;
+  // The candidate budget is enforced at the source, so a truncation is
+  // deterministic (the source's order does not depend on timing or thread
+  // count).
+  status = source->Generate(qnorm.shape, options.budget.max_candidates,
+                            options, &round_, &round_stats);
+  while (true) {
+    if (call->source != nullptr) {
+      call->candidates_emitted += round_.size();
+      if (call->trace != nullptr) {
+        call->trace->AddEvent(
+            "candidates",
+            std::string(source->name()) + " emitted " +
+                std::to_string(round_.size()) +
+                (round_stats.truncated ? " (truncated)" : ""));
+      }
+    }
+    if (!status.ok()) {
+      if (!util::IsLifecycleStop(status.code())) {
+        call->Finish("error");
+        return status;
+      }
+      // A query on its way out starts no similarity integrals: the
+      // round's candidates count as skipped.
+      st.candidates_skipped += round_.size();
+      break;
+    }
+    // An empty last round only ends the source; every other round is
+    // verified, even an empty one.
+    if (!round_.empty() || round_stats.more_rounds) {
+      // Whatever the source emits, a removed shape is never verified.
+      if (base_->NumRemoved() > 0) {
+        std::erase_if(round_, [this](uint32_t c) {
+          return base_->removed(base_->copy(c).shape_id);
+        });
+      }
+      status = Verify(round_, options, call, &bound, trace);
+    }
+    if (status.ok() && round_stats.truncated) {
+      status = util::Status::ResourceExhausted("candidate budget exhausted");
+    }
+    if (!round_stats.more_rounds) break;
+    status = source->NextRound(status, bound.Kth(), options, &round_,
+                               &round_stats);
+  }
+  // A fully verified candidate set — even an approximate one — is a
+  // natural "exhausted" finish, unless a stop rule ended it early.
+  if (status.ok() && !st.stopped_early) st.exhausted = true;
+  std::vector<MatchResult> results;
+  results.reserve(bound.best().size());
+  for (const auto& [id, result] : bound.best()) results.push_back(result);
+  const util::Status closed = RankAndClose(
+      &results, options.k, options.collect_threshold, status, &st);
+  call->any_result = !results.empty();
+  call->Finish(!status.ok()         ? StopReason(status)
+               : st.stopped_early ? "early_exit"
+                                  : "exhausted");
+  if (!closed.ok()) return closed;
+  return results;
+}
+
 util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     const Polyline& query, const MatchOptions& options, MatchStats* stats,
     AccessTrace* trace) {
@@ -460,302 +813,10 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::Match(
     return util::Status::InvalidArgument(
         "epsilon/stop/threshold options must be finite");
   }
-  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options, options.k));
-
+  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options));
   Call call(query, options, stats, nullptr);
-  MatchStats& st = call.st;
-  GEOSIR_ASSIGN_OR_RETURN(const NormalizedCopy qnorm,
-                          Begin(query, options, &call));
-  const Polyline& q = qnorm.shape;
-  const QueryTarget& target = *target_;
-
-  const double n = static_cast<double>(std::max<size_t>(1, base_->NumVertices()));
-  // n and p count the indexed vertices and copies only, removal-marked
-  // ones included: the envelope schedule is the static base's.
-  const double p =
-      static_cast<double>(std::max<size_t>(1, base_->NumIndexedCopies()));
-  const double l_q = std::max(1e-9, q.Perimeter());
-
-  // Step 1: initial envelope width chosen so the expected number of pool
-  // vertices inside it is about one shape's worth (area ratio heuristic),
-  // eps_1 = A / (2 p l_Q). Step 5's stop bound multiplies by log^3 n.
-  const bool collect_mode = options.collect_threshold > 0.0;
-  const double eps1 = options.initial_epsilon > 0.0
-                          ? options.initial_epsilon
-                          : kLuneArea / (2.0 * p * l_q);
-  const double log_n = Log2(n);
-  double eps_max =
-      options.max_epsilon > 0.0
-          ? options.max_epsilon
-          : std::max(eps1 * log_n * log_n * log_n, eps1 * options.growth);
-  if (collect_mode) {
-    // Grow far enough that every shape within the threshold has become a
-    // candidate (Markov bound; beta = 0 degenerates to "all vertices in").
-    const double needed =
-        options.collect_threshold / std::max(options.beta, 0.05);
-    eps_max = std::max(eps_max, needed);
-  }
-  st.initial_epsilon = eps1;
-  st.max_epsilon = eps_max;
-
-  // Fresh epoch; all per-copy/per-vertex scratch self-invalidates. On
-  // wrap-around the stamps of the last cycle would alias (and 0, their
-  // initial value, would read as "counted"), so clear them first.
-  if (++epoch_ == 0) {
-    std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0);
-    for (CopyScratch& copy : copies_) copy.epoch = 0;
-    epoch_ = 1;
-  }
-
-  // Snapshot the index's fault counters so this query's degradation (an
-  // external backend skipping unreadable subtrees) can be reported in the
-  // stats without charging it for earlier queries.
-  const uint64_t skipped_subtrees_before = base_->index().stats().subtrees_skipped;
-  const uint64_t skipped_leaves_before = base_->index().stats().leaves_skipped;
-
-  // The verifier's bound and best result per shape across all rounds
-  // (its k-th best also feeds the early exit).
-  AbandonBound bound(options, &shape_best_);
-
-  double eps_prev = 0.0;
-  double eps = eps1;
-  std::vector<uint32_t> touched;  // Copies touched in this iteration.
-
-  // Lifecycle stop state. `hard_stop` (deadline / cancel) abandons the
-  // current round without scoring the rest of its candidates — a query on
-  // its way out must not start new similarity integrals. `budget_stop`
-  // (kResourceExhausted) finishes the round's already-admitted work first:
-  // budgets are deterministic cutoffs, not emergencies. Both end the
-  // search with best-so-far results.
-  util::Status hard_stop;
-  util::Status budget_stop;
-  const WorkBudget& budget = options.budget;
-
-  // Per-round trace baseline: deltas of the stats counters between round
-  // entries become one RoundTrace each. Only maintained when tracing.
-  struct RoundBaseline {
-    bool active = false;
-    size_t round = 0;
-    double epsilon = 0.0;
-    double at_ms = 0.0;
-    size_t vertices_reported = 0;
-    size_t vertices_accepted = 0;
-    size_t candidates_evaluated = 0;
-    size_t candidates_skipped = 0;
-    size_t candidates_abandoned = 0;
-    uint64_t nodes_visited = 0;
-    uint64_t subtrees_skipped = 0;
-  } round_base;
-  const auto flush_round_trace = [&]() {
-    if (call.trace == nullptr || !round_base.active) return;
-    obs::RoundTrace round;
-    round.round = round_base.round;
-    round.epsilon = round_base.epsilon;
-    round.elapsed_ms = call.trace->ElapsedMs() - round_base.at_ms;
-    round.vertices_reported = st.vertices_reported - round_base.vertices_reported;
-    round.vertices_accepted = st.vertices_accepted - round_base.vertices_accepted;
-    round.candidates_admitted =
-        st.candidates_evaluated - round_base.candidates_evaluated;
-    round.candidates_skipped =
-        st.candidates_skipped - round_base.candidates_skipped;
-    round.candidates_abandoned =
-        st.candidates_abandoned - round_base.candidates_abandoned;
-    const rangesearch::QueryStats& index_stats = base_->index().stats();
-    round.index_nodes_visited =
-        index_stats.nodes_visited - round_base.nodes_visited;
-    round.subtrees_skipped =
-        index_stats.subtrees_skipped - round_base.subtrees_skipped;
-    call.trace->AddRound(round);
-    round_base.active = false;
-  };
-
-  // No rounds when nothing is indexed: the tail below is the whole base.
-  while (base_->NumIndexedCopies() > 0) {
-    flush_round_trace();
-    // Round-entry checkpoint (also the per-round budget gate).
-    if (hard_stop.ok()) hard_stop = call.control.Check();
-    if (hard_stop.ok() && budget_stop.ok() && budget.max_rounds > 0 &&
-        st.iterations >= budget.max_rounds) {
-      budget_stop = util::Status::ResourceExhausted("round budget exhausted");
-    }
-    if (!hard_stop.ok() || !budget_stop.ok()) break;
-    ++st.iterations;
-    touched.clear();
-    if (call.trace != nullptr) {
-      const rangesearch::QueryStats& index_stats = base_->index().stats();
-      round_base = RoundBaseline{
-          true,
-          st.iterations,
-          eps,
-          call.trace->ElapsedMs(),
-          st.vertices_reported,
-          st.vertices_accepted,
-          st.candidates_evaluated,
-          st.candidates_skipped,
-          st.candidates_abandoned,
-          index_stats.nodes_visited,
-          index_stats.subtrees_skipped};
-    }
-
-    const geom::EnvelopeRingCover cover =
-        geom::BuildEnvelopeRingCover(q, eps_prev, eps);
-    size_t ring_evals = 0;  // Flushed to the kernel counter once per round.
-    for (const geom::Triangle& tri : cover.triangles) {
-      base_->index().ReportInTriangle(
-          tri, [&](const rangesearch::IndexedPoint& ip) {
-            if (!hard_stop.ok()) return;  // Drain the traversal cheaply.
-            if (budget.max_vertex_reports > 0 &&
-                st.vertices_reported >= budget.max_vertex_reports) {
-              if (budget_stop.ok()) {
-                budget_stop = util::Status::ResourceExhausted(
-                    "vertex-report budget exhausted");
-              }
-              return;
-            }
-            ++st.vertices_reported;
-            // Amortized deadline/cancel poll: one Check per 1024 reports
-            // keeps the overhead unmeasurable on the hot path.
-            if ((st.vertices_reported & 1023u) == 0) {
-              hard_stop = call.control.Check();
-              if (!hard_stop.ok()) return;
-            }
-            // Both vertex-indexed loads miss cache on a large base (ids
-            // arrive in kd order, not pool order); issuing them together
-            // overlaps the two misses.
-            const uint32_t copy_idx = base_->CopyOfVertex(ip.id);
-            if (vertex_epoch_[ip.id] == epoch_) return;  // Deduplicated.
-            // Exact membership: the cover is a superset of the ring.
-            ++ring_evals;
-            const double d = target.Distance(ip.p);
-            if (d > eps) return;
-            vertex_epoch_[ip.id] = epoch_;
-            ++st.vertices_accepted;
-            CopyScratch& copy = copies_[copy_idx];
-            if (copy.epoch != epoch_) {
-              copy.epoch = epoch_;
-              copy.count = 0;
-              copy.evaluated = 0;
-            }
-            if (copy.touch_iter != st.iterations || copy.count == 0) {
-              copy.touch_iter = static_cast<uint32_t>(st.iterations);
-              touched.push_back(copy_idx);
-            }
-            ++copy.count;
-          });
-      // A fail-fast external backend records the I/O error it hit (the
-      // reporting interface itself is void); surface it instead of
-      // returning a silently incomplete match. An external backend may
-      // also have observed the thread-local lifecycle control and aborted
-      // its traversal — that is a stop, not a malfunction.
-      {
-        util::Status index_status = base_->index().TakeLastError();
-        if (!index_status.ok()) {
-          if (util::IsLifecycleStop(index_status.code())) {
-            if (hard_stop.ok()) hard_stop = index_status;
-          } else {
-            flush_round_trace();
-            call.Finish("error");
-            return index_status;
-          }
-        }
-      }
-      if (!hard_stop.ok() || !budget_stop.ok()) break;
-    }
-    geom::CountBatchedEdges(ring_evals * target.flat_edges());
-
-    // Step 3: collect copies that reached the (1 - beta) occupancy
-    // threshold and have not been evaluated yet. When the query is
-    // stopping, qualifying copies are counted as skipped instead of
-    // admitted — under a candidate budget this cutoff is deterministic
-    // (the range-search phase is single-threaded, so `touched` has the
-    // same order for every thread count).
-    pending_eval_.clear();
-    for (uint32_t copy_idx : touched) {
-      CopyScratch& scratch = copies_[copy_idx];
-      if (scratch.evaluated) continue;
-      const NormalizedCopy& copy = base_->copy(copy_idx);
-      if (base_->removed(copy.shape_id)) continue;  // Never a candidate.
-      const size_t num_vertices = copy.shape.size();
-      const size_t needed = static_cast<size_t>(
-          std::ceil((1.0 - options.beta) * static_cast<double>(num_vertices)));
-      // +2: the copy's axis vertices sit at (0,0)/(1,0), on the
-      // normalized query's boundary, hence inside every envelope. They
-      // are not indexed (see ShapeBase::AddShape), so credit them here.
-      if (scratch.count + 2 < std::max<size_t>(1, needed)) continue;
-      if (!hard_stop.ok()) {
-        ++st.candidates_skipped;
-        continue;
-      }
-      if (budget.max_candidates > 0 &&
-          st.candidates_evaluated + pending_eval_.size() >=
-              budget.max_candidates) {
-        if (budget_stop.ok()) {
-          budget_stop =
-              util::Status::ResourceExhausted("candidate budget exhausted");
-        }
-        ++st.candidates_skipped;
-        continue;
-      }
-      scratch.evaluated = 1;
-      pending_eval_.push_back(copy_idx);
-    }
-    if (!hard_stop.ok()) break;  // Nothing admitted; abandon the round.
-
-    // Step 4: score this round's candidate set with the shared verifier.
-    // An abandoned candidate's score exceeds min(k-th best, its shape's
-    // best), so it changes neither the ranking nor the k-th best below.
-    hard_stop = Verify(pending_eval_, options, &call, &bound, trace);
-    if (!hard_stop.ok()) break;
-    ++st.rounds_completed;
-
-    // Early exit: every unevaluated copy still has > beta of its vertices
-    // outside the eps-envelope, so its (discrete, directed) average
-    // distance exceeds beta * eps; once the k-th best is below that, no
-    // unseen shape can displace it.
-    st.final_epsilon = eps;
-    if (!collect_mode && options.stop_factor > 0.0 &&
-        bound.Kth() <= options.stop_factor * options.beta * eps) {
-      st.stopped_early = true;
-      budget_stop = util::Status::OK();  // Finished naturally this round.
-      break;
-    }
-    if (eps >= eps_max) {
-      st.exhausted = true;
-      budget_stop = util::Status::OK();
-      break;
-    }
-    if (!budget_stop.ok()) break;
-    eps_prev = eps;
-    eps = std::min(eps * options.growth, eps_max);
-  }
-
-  flush_round_trace();
-  st.skipped_subtrees = static_cast<size_t>(
-      base_->index().stats().subtrees_skipped - skipped_subtrees_before);
-  st.skipped_leaves = static_cast<size_t>(
-      base_->index().stats().leaves_skipped - skipped_leaves_before);
-  st.degraded = st.skipped_subtrees > 0;
-
-  // The unindexed tail: no envelope reaches its copies, so the live ones
-  // are verified directly against the rounds' bound. A stopping query
-  // skips them.
-  util::Status stop = !hard_stop.ok() ? hard_stop : budget_stop;
-  pending_eval_.clear();
-  for (auto c = static_cast<uint32_t>(base_->NumIndexedCopies());
-       c < base_->NumCopies(); ++c) {
-    if (!base_->removed(base_->copy(c).shape_id)) pending_eval_.push_back(c);
-  }
-  if (!stop.ok()) {
-    st.candidates_skipped += pending_eval_.size();
-  } else {
-    stop = Verify(pending_eval_, options, &call, &bound, trace);
-  }
-  if (call.trace != nullptr && !pending_eval_.empty()) {
-    call.trace->AddEvent("tail", std::to_string(pending_eval_.size()) +
-                                     " unindexed copies");
-  }
-  return call.Close(bound.best(), options, stop,
-                    st.stopped_early ? "early_exit" : "exhausted");
+  EnvelopeSource envelope(this, &call);
+  return Run(query, &envelope, options, &call, trace);
 }
 
 util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
@@ -767,72 +828,21 @@ util::Result<std::vector<MatchResult>> EnvelopeMatcher::MatchCandidates(
   if (source == nullptr) {
     return util::Status::InvalidArgument("MatchCandidates requires a source");
   }
-  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options, options.k));
-
+  GEOSIR_RETURN_IF_ERROR(ValidateRanking(options));
   Call call(query, options, stats, source->name());
-  MatchStats& st = call.st;
-  GEOSIR_ASSIGN_OR_RETURN(const NormalizedCopy qnorm,
-                          Begin(query, options, &call));
-
-  // Tier 1: candidate generation. The candidate budget is enforced here,
-  // at the source, so the truncation is deterministic (the source's
-  // preference order does not depend on timing or thread count).
-  CandidateSourceStats gen_stats;
-  std::vector<uint32_t> candidates;
-  util::Status generate = source->Generate(
-      qnorm.shape, options.budget.max_candidates, options, &candidates,
-      &gen_stats);
-  call.candidates_emitted = candidates.size();
-  if (call.trace != nullptr) {
-    call.trace->AddEvent("candidates",
-                         std::string(source->name()) + " emitted " +
-                             std::to_string(candidates.size()) +
-                             (gen_stats.truncated ? " (truncated)" : ""));
-  }
-  if (!generate.ok()) {
-    if (!util::IsLifecycleStop(generate.code())) {
-      call.Finish("error");
-      return generate;
-    }
-    // A query already on its way out must not start similarity
-    // integrals: drop the generated prefix unscored, per the
-    // nothing-ranked-yet contract.
-    st.candidates_skipped = candidates.size();
-    st.termination = generate;
-    call.Finish(StopReason(generate));
-    return generate;
-  }
-  // Whatever the source emits, a removed shape is never verified.
-  if (base_->NumRemoved() > 0) {
-    std::erase_if(candidates, [this](uint32_t c) {
-      return base_->removed(base_->copy(c).shape_id);
-    });
-  }
-  util::Status budget_stop;
-  if (gen_stats.truncated) {
-    budget_stop = util::Status::ResourceExhausted("candidate budget exhausted");
-  }
-
-  // Tier 2: exact verification under options.measure, in source
-  // preference order.
-  AbandonBound bound(options, &shape_best_);
-  const util::Status hard_stop =
-      Verify(candidates, options, &call, &bound, trace);
-
-  // A fully scored candidate set — even an approximate one — is a
-  // natural "exhausted" finish.
-  const util::Status stop = !hard_stop.ok() ? hard_stop : budget_stop;
-  st.exhausted = stop.ok();
-  return call.Close(bound.best(), options, stop, "exhausted");
+  return Run(query, source, options, &call, trace);
 }
 
-util::Status RunMatchBatch(
-    const ShapeBase* base, size_t n, const MatchOptions& options,
-    std::vector<MatchStats>* stats,
-    const std::function<util::Status(EnvelopeMatcher*, size_t, MatchStats*)>&
-        run_query) {
+util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
+    const ShapeBase& base, const std::vector<Polyline>& queries,
+    const MatchOptions& options, std::vector<MatchStats>* stats) {
+  if (!base.finalized()) {
+    return util::Status::FailedPrecondition("ShapeBase not finalized");
+  }
+  const size_t n = queries.size();
+  std::vector<std::vector<MatchResult>> results(n);
   if (stats != nullptr) stats->assign(n, MatchStats{});
-  if (n == 0) return util::Status::OK();
+  if (n == 0) return results;
 
   util::ThreadPool* pool = ResolvePool(options);
   const size_t slots =
@@ -845,7 +855,7 @@ util::Status RunMatchBatch(
   // results identical to a serial loop.
   std::vector<std::unique_ptr<EnvelopeMatcher>> matchers(slots);
   for (auto& matcher : matchers) {
-    matcher = std::make_unique<EnvelopeMatcher>(base);
+    matcher = std::make_unique<EnvelopeMatcher>(&base);
   }
   std::vector<util::Status> errors(n);
   std::vector<uint8_t> started(n, 0);
@@ -857,9 +867,13 @@ util::Status RunMatchBatch(
   // still fail the whole batch, first query order.
   const auto run = [&](size_t worker, size_t i) {
     started[i] = 1;
-    util::Status status = run_query(matchers[worker].get(), i,
-                                    stats != nullptr ? &(*stats)[i] : nullptr);
-    if (!util::IsLifecycleStop(status.code())) errors[i] = std::move(status);
+    auto result = matchers[worker]->Match(
+        queries[i], options, stats != nullptr ? &(*stats)[i] : nullptr);
+    if (result.ok()) {
+      results[i] = std::move(result).value();
+    } else if (!util::IsLifecycleStop(result.status().code())) {
+      errors[i] = result.status();
+    }
   };
   if (pool != nullptr) {
     // The token doubles as the pool's checkpoint: once cancelled, queries
@@ -885,23 +899,6 @@ util::Status RunMatchBatch(
   for (const util::Status& status : errors) {
     GEOSIR_RETURN_IF_ERROR(status);
   }
-  return util::Status::OK();
-}
-
-util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
-    const ShapeBase& base, const std::vector<Polyline>& queries,
-    const MatchOptions& options, std::vector<MatchStats>* stats) {
-  if (!base.finalized()) {
-    return util::Status::FailedPrecondition("ShapeBase not finalized");
-  }
-  std::vector<std::vector<MatchResult>> results(queries.size());
-  GEOSIR_RETURN_IF_ERROR(RunMatchBatch(
-      &base, queries.size(), options, stats,
-      [&](EnvelopeMatcher* matcher, size_t i, MatchStats* query_stats) {
-        auto result = matcher->Match(queries[i], options, query_stats);
-        if (result.ok()) results[i] = std::move(result).value();
-        return result.status();
-      }));
   return results;
 }
 

@@ -2,7 +2,6 @@
 #define GEOSIR_CORE_ENVELOPE_MATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -34,15 +33,19 @@ class EnvelopeMatcher {
   explicit EnvelopeMatcher(const ShapeBase* base);
 
   /// Retrieves the k best matches for `query` (raw, unnormalized
-  /// coordinates). `stats` and `trace` are optional. When nothing
-  /// entered the envelope before max_epsilon the result is empty with
-  /// MatchStats::exhausted set; no tier falls back to geometric hashing
-  /// (Section 3) on its own — that fallback is ROADMAP item 3.
-  /// options.k must be positive outside collect mode (kInvalidArgument).
+  /// coordinates): MatchCandidates' driver over the epsilon-envelope, the
+  /// one multi-round source (DESIGN.md section 14.3). Each round admits
+  /// the copies with >= (1 - beta) of their vertices inside the envelope;
+  /// before growing it, the envelope reads the verifier's k-th best and
+  /// stops once it is <= stop_factor * beta * eps. `stats` and `trace` are
+  /// optional. When nothing entered the envelope before max_epsilon the
+  /// result is empty with MatchStats::exhausted set. options.k must be
+  /// positive outside collect mode (kInvalidArgument).
   ///
-  /// Removed shapes are never candidates. After the last round the live
-  /// copies of the base's unindexed tail go through the same verifier,
-  /// unless the query is stopping (then they count as skipped).
+  /// Removed shapes are never candidates. The envelope's last round is
+  /// the live copies of the base's unindexed tail, under the candidate
+  /// budget left; a stopping query skips them. A base with no indexed
+  /// copies is one such round, a full scan, reported as exhausted.
   ///
   /// Lifecycle: options.deadline / cancel_token / budget terminate the
   /// search cooperatively (checked at round, candidate and amortized
@@ -72,10 +75,13 @@ class EnvelopeMatcher {
   /// scoring bit for bit. Copies of removed shapes are dropped from the
   /// source's candidates.
   ///
-  /// Lifecycle mirrors Match: options.budget.max_candidates caps the
-  /// candidate set at generation (a deterministic truncation, reported as
-  /// a kResourceExhausted partial); deadline / cancel stop generation and
-  /// scoring cooperatively with the same partial-result contract.
+  /// The one driver: generate a round, verify it against the bound carried
+  /// across rounds, repeat while the source has more, rank once. Lifecycle
+  /// is applied per round: options.budget.max_candidates caps the
+  /// candidates at generation, and a truncated round is verified, then
+  /// ends the query as a kResourceExhausted partial; a deadline / cancel
+  /// stop during generation skips the round, one during verification
+  /// skips the rest, with the same partial-result contract.
   util::Result<std::vector<MatchResult>> MatchCandidates(
       const geom::Polyline& query, CandidateSource* source,
       const MatchOptions& options = {}, MatchStats* stats = nullptr,
@@ -92,19 +98,23 @@ class EnvelopeMatcher {
  private:
   struct Call;
   class AbandonBound;
+  class EnvelopeSource;
 
-  /// The prologue Match and MatchCandidates share once their options are
-  /// valid: lifecycle entry check (an expired or cancelled query does no
-  /// work), control binding, NormalizeQuery, and the query target.
-  util::Result<NormalizedCopy> Begin(const geom::Polyline& query,
-                                     const MatchOptions& options, Call* call);
+  /// The one driver behind Match and MatchCandidates, once their options
+  /// are valid: lifecycle entry check (an expired or cancelled query does
+  /// no work), control binding, NormalizeQuery and the query target, then
+  /// the round loop over `source` and one RankAndClose.
+  util::Result<std::vector<MatchResult>> Run(const geom::Polyline& query,
+                                             CandidateSource* source,
+                                             const MatchOptions& options,
+                                             Call* call, AccessTrace* trace);
 
-  /// The one verifier (DESIGN.md section 14.3): scores `candidates` in
-  /// order under options.measure against `bound`, in chunks (fanned out
-  /// across the pool when enabled) with a deadline / cancel poll before
-  /// each, and records the survivors in `bound` in candidate order on the
-  /// calling thread. Returns the stop that cut it short, counting the
-  /// unverified rest as skipped.
+  /// The one verifier (DESIGN.md section 14.3), called only from Run's
+  /// round loop: scores `candidates` in order under options.measure
+  /// against `bound`, in chunks (fanned out across the pool when enabled)
+  /// with a deadline / cancel poll before each, and records the survivors
+  /// in `bound` in candidate order on the calling thread. Returns the stop
+  /// that cut it short, counting the unverified rest as skipped.
   util::Status Verify(std::span<const uint32_t> candidates,
                       const MatchOptions& options, Call* call,
                       AbandonBound* bound, AccessTrace* trace);
@@ -127,11 +137,11 @@ class EnvelopeMatcher {
   std::vector<CopyScratch> copies_;
 
   // The normalized query as the distance target of every scored copy and
-  // of the envelope membership test; rebuilt by Begin.
+  // of the envelope membership test; rebuilt by Run.
   std::unique_ptr<QueryTarget> target_;
 
-  // Copies admitted in the current round (reused across rounds).
-  std::vector<uint32_t> pending_eval_;
+  // The current round's candidates (reused across rounds and calls).
+  std::vector<uint32_t> round_;
 
   // Verifier scratch: each shape's best verified distance in the current
   // call (+inf when unseen; AbandonBound resets it on every exit), one
@@ -149,8 +159,9 @@ class EnvelopeMatcher {
   size_t field_min_candidates_ = kFieldMinCandidates;
 };
 
-/// Runs independent queries concurrently across the pool configured in
-/// `options` (one matcher per worker slot): the throughput-style
+/// The one batch executor (DynamicShapeBase::MatchBatch runs it too):
+/// runs independent queries concurrently across the pool configured in
+/// `options` (one matcher per worker slot), the throughput-style
 /// counterpart of EnvelopeMatcher::Match. result[i] corresponds to
 /// queries[i]; `stats`, when non-null, is resized to one entry per query.
 /// Per-query results are bit-identical to a serial Match loop for every
@@ -164,23 +175,6 @@ class EnvelopeMatcher {
 util::Result<std::vector<std::vector<MatchResult>>> MatchBatch(
     const ShapeBase& base, const std::vector<geom::Polyline>& queries,
     const MatchOptions& options = {}, std::vector<MatchStats>* stats = nullptr);
-
-/// The one batch executor, behind core::MatchBatch and
-/// DynamicShapeBase::MatchBatch, with the lifecycle contract documented
-/// above: calls `run_query(matcher, i, stats_i)` for every i in [0, n)
-/// across the pool `options` selects, one EnvelopeMatcher over `base` per
-/// worker slot. Lifecycle stops returned by run_query do not fail the
-/// batch; other errors do, first by query order.
-util::Status RunMatchBatch(
-    const ShapeBase* base, size_t n, const MatchOptions& options,
-    std::vector<MatchStats>* stats,
-    const std::function<util::Status(EnvelopeMatcher*, size_t, MatchStats*)>&
-        run_query);
-
-/// The option checks every ranking entry point shares: a finite
-/// collect_threshold, and a positive result count `k` outside collect
-/// mode (kInvalidArgument otherwise).
-util::Status ValidateRanking(const MatchOptions& options, size_t k);
 
 }  // namespace geosir::core
 

@@ -784,7 +784,8 @@ Follower::MatchBatch(const std::vector<geom::Polyline>& queries, size_t k,
   // only while holding the lock exclusively, so nothing the batch reads
   // can carry an LSN at or above this bound.
   const uint64_t pinned = applied_lsn_.load(std::memory_order_acquire);
-  auto results = base_->MatchBatch(queries, k, stats);
+  // Admission and matching share one horizon.
+  auto results = base_->MatchBatch(queries, k, stats, deadline);
   metrics_->queries->Inc(queries.size());
   if (results.ok() && stats != nullptr) {
     const uint64_t head = primary_next_lsn_.load(std::memory_order_acquire);

@@ -141,8 +141,9 @@ class Follower {
   void SetTransport(LogTransport* transport);
 
   /// Admission-controlled batch match over the replica's current state,
-  /// pinned to one applied LSN for the whole batch. Stats entries carry
-  /// replicated/replica/replica_lsn/replica_lag.
+  /// pinned to one applied LSN for the whole batch. `deadline` bounds
+  /// the admission wait and, with the base's own deadline, the matching.
+  /// Stats entries carry replicated/replica/replica_lsn/replica_lag.
   util::Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
   MatchBatch(const std::vector<geom::Polyline>& queries, size_t k = 1,
              std::vector<core::MatchStats>* stats = nullptr,

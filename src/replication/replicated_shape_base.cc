@@ -190,9 +190,14 @@ ReplicatedShapeBase::RouteBatch(const std::vector<geom::Polyline>& queries,
   if (followers_.empty()) {
     // No serving tier: the primary answers directly, serialized with
     // writes (reads see lsn == tail, so staleness is trivially 0).
+    // The lock wait stands in for a follower's admission queue: a
+    // deadline that expired in it is shed the same way.
     std::lock_guard<std::mutex> lock(primary_mutex_);
+    if (deadline.expired()) {
+      return util::Status::DeadlineExceeded("deadline expired before the read");
+    }
     const uint64_t pinned = primary_.journal->tail_state().next_lsn;
-    auto results = primary_.base->MatchBatch(queries, k, stats);
+    auto results = primary_.base->MatchBatch(queries, k, stats, deadline);
     if (results.ok() && stats != nullptr) {
       for (core::MatchStats& entry : *stats) {
         entry.replicated = false;

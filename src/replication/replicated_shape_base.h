@@ -122,7 +122,9 @@ class ReplicatedShapeBase {
   /// Routes the whole batch to one replica chosen by freshness and
   /// admission (see StaleRoutePolicy). kUnavailable only when every
   /// replica's admission controller shed the batch — staleness alone
-  /// never produces an error.
+  /// never produces an error. `deadline` bounds admission and matching
+  /// alike; with no followers the primary sheds an expired one as
+  /// admission does (kDeadlineExceeded).
   util::Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
   MatchBatch(const std::vector<geom::Polyline>& queries, size_t k = 1,
              std::vector<core::MatchStats>* stats = nullptr,

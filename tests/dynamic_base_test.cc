@@ -506,6 +506,70 @@ TEST(DynamicShapeBaseTest, CandidateSourcesRankAsFullScoring) {
   check("after compaction");
 }
 
+TEST(DynamicShapeBaseTest, TailRoundHonoursTheCandidateBudget) {
+  // Below the first compaction every shape is in the unindexed tail, so
+  // a query is one round: the tail. Uncapped it is a full scan, reported
+  // exhausted; a candidate budget truncates it like any source's round,
+  // as a kResourceExhausted partial.
+  util::Rng rng(5);
+  workload::PolygonGenOptions gen;
+  DynamicShapeBase base;
+  for (int s = 0; s < 20; ++s) {
+    ASSERT_TRUE(base.Insert(workload::RandomStarPolygon(&rng, gen)).ok());
+  }
+  ASSERT_EQ(base.NumDelta(), 20u);
+  ASSERT_EQ(base.main_base().NumIndexedCopies(), 0u);
+  const size_t copies = base.main_base().NumCopies();
+  const Polyline query = workload::RandomStarPolygon(&rng, gen);
+
+  MatchStats full;
+  auto all = base.Match(query, 3, &full);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->size(), 3u);
+  EXPECT_EQ(full.candidates_evaluated, copies);
+  EXPECT_TRUE(full.exhausted);
+  EXPECT_FALSE(full.stopped_early);
+  EXPECT_FALSE(full.partial);
+  EXPECT_EQ(full.iterations, 0u);
+
+  base.match_options().budget.max_candidates = 1;
+  MatchStats capped;
+  auto one = base.Match(query, 3, &capped);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->size(), 1u);
+  EXPECT_EQ(capped.candidates_evaluated, 1u);
+  EXPECT_EQ(capped.candidates_skipped, copies - 1);
+  EXPECT_TRUE(capped.partial);
+  EXPECT_EQ(capped.termination.code(), util::StatusCode::kResourceExhausted);
+  EXPECT_FALSE(capped.exhausted);
+}
+
+TEST(DynamicShapeBaseTest, BatchDeadlineBoundsEveryQuery) {
+  // MatchBatch runs under the earlier of the base's deadline and its own:
+  // an expired one stops every query before it ranks anything.
+  DynamicShapeBase base;
+  for (int n = 3; n <= 10; ++n) {
+    ASSERT_TRUE(base.Insert(RegularPolygon(n, 1.0)).ok());
+  }
+  const std::vector<Polyline> queries = {RegularPolygon(5, 2.0),
+                                         RegularPolygon(8, 0.5)};
+  std::vector<MatchStats> stats;
+  auto expired =
+      base.MatchBatch(queries, 1, &stats, util::Deadline::AfterMicros(0));
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  ASSERT_EQ(stats.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE((*expired)[i].empty());
+    EXPECT_EQ(stats[i].termination.code(),
+              util::StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(stats[i].candidates_evaluated, 0u);
+  }
+  auto unbounded = base.MatchBatch(queries, 1, &stats);
+  ASSERT_TRUE(unbounded.ok());
+  EXPECT_EQ((*unbounded)[0].front().first, 2u);  // The pentagon.
+  EXPECT_TRUE(stats[0].termination.ok());
+}
+
 TEST(BaseIoTest, SaveLoadRoundTrip) {
   ShapeBase original;
   ASSERT_TRUE(original

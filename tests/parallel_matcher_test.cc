@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_source.h"
 #include "core/dynamic_shape_base.h"
 #include "core/envelope_matcher.h"
 #include "core/shape_base.h"
@@ -157,6 +158,134 @@ TEST_F(ParallelMatcherTest, MatchBatchAgreesWithSequentialMatchLoop) {
     auto single = matcher.Match(fixture_->queries[i], serial);
     ASSERT_TRUE(single.ok());
     ExpectIdentical(*single, (*batch)[i]);
+  }
+}
+
+/// ExactEnumerationSource's copies in two rounds, split at the middle,
+/// under one candidate budget across both. Records what it emits.
+class TwoRoundSource final : public CandidateSource {
+ public:
+  explicit TwoRoundSource(const ShapeBase* base) : exact_(base) {}
+
+  const char* name() const override { return "two_round"; }
+
+  util::Status Generate(const Polyline& normalized_query,
+                        size_t max_candidates, const MatchOptions& options,
+                        std::vector<uint32_t>* out,
+                        CandidateSourceStats* stats) override {
+    GEOSIR_RETURN_IF_ERROR(
+        exact_.Generate(normalized_query, 0, options, &all_, nullptr));
+    max_candidates_ = max_candidates;
+    emitted.clear();
+    return Emit(0, all_.size() / 2, out, stats);
+  }
+
+  util::Status NextRound(const util::Status& verified, double kth_best,
+                         const MatchOptions& options,
+                         std::vector<uint32_t>* out,
+                         CandidateSourceStats* stats) override {
+    (void)kth_best;
+    (void)options;
+    if (!verified.ok()) {
+      out->clear();
+      *stats = CandidateSourceStats{};
+      return verified;
+    }
+    return Emit(all_.size() / 2, all_.size(), out, stats);
+  }
+
+  std::vector<uint32_t> emitted;  // Every round's copies, in order.
+
+ private:
+  // Emits all_[begin, end) cut at the budget; `begin` copies are out.
+  util::Status Emit(size_t begin, size_t end, std::vector<uint32_t>* out,
+                    CandidateSourceStats* stats) {
+    *stats = CandidateSourceStats{};
+    const size_t cut =
+        max_candidates_ > 0 ? std::min(end, max_candidates_) : end;
+    out->assign(all_.begin() + begin, all_.begin() + cut);
+    emitted.insert(emitted.end(), out->begin(), out->end());
+    stats->candidates_emitted = out->size();
+    stats->truncated = cut < end;
+    stats->more_rounds = begin == 0 && !stats->truncated;
+    return util::Status::OK();
+  }
+
+  ExactEnumerationSource exact_;
+  std::vector<uint32_t> all_;
+  size_t max_candidates_ = 0;
+};
+
+TEST(RoundSeamTest, TwoRoundsRankAsOne) {
+  // The driver carries the verifier's bound across rounds, so a source
+  // that splits its candidates in two ranks exactly as one that emits
+  // them at once, and a budget cut inside the second round is the same
+  // prefix of the same order.
+  util::Rng rng(31);
+  workload::PolygonGenOptions gen;
+  ShapeBaseOptions base_options;
+  base_options.normalize.max_axes = 2;
+  ShapeBase base(base_options);
+  std::vector<Polyline> prototypes;
+  for (int p = 0; p < 15; ++p) {
+    prototypes.push_back(workload::RandomStarPolygon(&rng, gen));
+  }
+  for (int s = 0; s < 120; ++s) {
+    ASSERT_TRUE(
+        base.AddShape(workload::JitterVertices(prototypes[s % 15], 0.01, &rng))
+            .ok());
+  }
+  ASSERT_TRUE(base.Finalize().ok());
+  const size_t half = base.NumCopies() / 2;
+  const Polyline query = workload::JitterVertices(prototypes[4], 0.015, &rng);
+
+  util::ThreadPool pool(4);
+  EnvelopeMatcher matcher(&base);
+  for (MatchMeasure measure : kAllMeasures) {
+    for (size_t k : {1u, 10u}) {
+      for (size_t threads : {1u, 4u}) {
+        // Unlimited, a cut at the split, and a cut inside round 2.
+        for (size_t budget : {size_t{0}, half, half + 7}) {
+          SCOPED_TRACE(testing::Message()
+                       << "measure " << static_cast<int>(measure) << " k "
+                       << k << " threads " << threads << " budget "
+                       << budget);
+          MatchOptions options;
+          options.measure = measure;
+          options.k = k;
+          options.num_threads = threads;
+          options.pool = &pool;
+          options.budget.max_candidates = budget;
+          ExactEnumerationSource one(&base);
+          MatchStats one_stats;
+          AccessTrace one_trace;
+          auto single = matcher.MatchCandidates(query, &one, options,
+                                                &one_stats, &one_trace);
+          TwoRoundSource two(&base);
+          MatchStats two_stats;
+          AccessTrace two_trace;
+          auto split = matcher.MatchCandidates(query, &two, options,
+                                               &two_stats, &two_trace);
+          ASSERT_TRUE(single.ok()) << single.status().ToString();
+          ASSERT_TRUE(split.ok()) << split.status().ToString();
+          ASSERT_FALSE(split->empty());
+          ExpectIdentical(*single, *split);
+          EXPECT_EQ(two_trace, two.emitted);
+          EXPECT_EQ(two_trace, one_trace);
+          EXPECT_EQ(two_stats.candidates_evaluated,
+                    one_stats.candidates_evaluated);
+          EXPECT_EQ(two_stats.partial, budget > 0);
+          EXPECT_EQ(two_stats.exhausted, budget == 0);
+          EXPECT_EQ(two_stats.termination.code(),
+                    budget > 0 ? util::StatusCode::kResourceExhausted
+                               : util::StatusCode::kOk);
+          if (budget == half) {
+            // The cut falls between the rounds: round one's ranking.
+            EXPECT_EQ(two_trace.size(), half);
+          }
+        }
+      }
+    }
   }
 }
 

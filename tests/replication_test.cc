@@ -763,6 +763,31 @@ TEST(ReplicatedTier, PrimaryServesWhenNoFollowers) {
   EXPECT_EQ(stats[0].replica_lag, 0u);
 }
 
+TEST(ReplicatedTier, PrimaryShedsAnExpiredDeadline) {
+  // With no follower the primary answers the read. Its deadline bounds
+  // the read as a follower's admission and matching do: an expired one
+  // is shed, not answered in full.
+  MemEnv env;
+  ReplicatedOptions options = TierOptions();
+  options.env = &env;
+  auto tier = ReplicatedShapeBase::Open(kPrimaryDir, {}, options);
+  ASSERT_TRUE(tier.ok());
+  for (uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE((*tier)->Insert(ShapeFor(i), ImageFor(i), LabelFor(i)).ok());
+  }
+  const util::Deadline expired = util::Deadline::AfterMicros(0);
+  core::MatchStats stats;
+  auto single = (*tier)->Match(ShapeFor(2), 1, &stats, expired);
+  EXPECT_EQ(single.status().code(), util::StatusCode::kDeadlineExceeded);
+  auto batch = (*tier)->MatchBatch({ShapeFor(2)}, 1, nullptr, expired);
+  EXPECT_EQ(batch.status().code(), util::StatusCode::kDeadlineExceeded);
+  auto later = (*tier)->Match(ShapeFor(2), 1, &stats,
+                              util::Deadline::AfterMillis(60000));
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_EQ(later->front().first, 2u);
+  EXPECT_FALSE(stats.partial);
+}
+
 // --- Snapshot consistency under concurrent writes (TSan target) ---
 //
 // The contract: a query admitted at replica LSN L never observes a shape
