@@ -26,7 +26,6 @@
 #include "core/normalize.h"
 #include "core/similarity.h"
 #include "geom/distance.h"
-#include "geom/edge_grid.h"
 #include "geom/edge_soa.h"
 #include "geom/envelope.h"
 #include "geom/kernel_dispatch.h"
@@ -98,28 +97,6 @@ void BM_NormalizeShapeAllAxes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NormalizeShapeAllAxes)->Arg(8)->Arg(20)->Arg(64);
-
-// The multi-ring walk in EdgeGrid::Distance: probes sit OFF the boundary
-// (0.1..0.6 of the diameter away) so the walk crosses several rings per
-// query — the near-boundary case ends in the home ring. (A software
-// prefetch experiment on this walk measured no win and was removed; see
-// EXPERIMENTS.md "EdgeGrid ring-walk prefetch".)
-void BM_EdgeGridRingWalk(benchmark::State& state) {
-  const Polyline shape = MakeShape(static_cast<int>(state.range(0)), 12);
-  const geosir::geom::EdgeGrid grid(shape);
-  geosir::util::Rng rng(13);
-  std::vector<Point> probes;
-  for (int i = 0; i < 256; ++i) {
-    const double a = rng.Uniform(0.0, 6.28318530717958647692);
-    const double d = rng.Uniform(0.1, 0.6);
-    probes.push_back({0.5 + d * std::cos(a), d * std::sin(a)});
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.Distance(probes[i++ & 255]));
-  }
-}
-BENCHMARK(BM_EdgeGridRingWalk)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_BuildEnvelopeRingCover(benchmark::State& state) {
   auto normalized = geosir::core::NormalizeQuery(MakeShape(20, 9));

@@ -1,18 +1,11 @@
-// Parallel query engine + similarity kernel benchmark.
-//
-// Part 1 — edge-grid kernel: single-thread AvgMinDistance between
-// many-edge shapes, brute-force inner scan vs the precomputed edge grid
-// (SimilarityOptions::grid_min_edges). The grid is exact, so besides the
-// speedup the bench cross-checks that every distance is bit-identical.
-//
-// Part 2 — batched matching throughput: MatchBatch over a >= 10k-shape
-// base at 1 vs 8 threads (GEOSIR_BENCH_THREADS overrides), verifying the
-// deterministic-merge contract: per-query results bit-identical across
-// thread counts. Scale with GEOSIR_BENCH_SHAPES / GEOSIR_BENCH_QUERIES.
+// Parallel query engine benchmark: batched matching throughput. MatchBatch
+// over a >= 10k-shape base at 1 vs 8 threads (GEOSIR_BENCH_THREADS
+// overrides), verifying the deterministic-merge contract: per-query
+// results bit-identical across thread counts. Scale with
+// GEOSIR_BENCH_SHAPES / GEOSIR_BENCH_QUERIES.
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,7 +13,6 @@
 #include "bench/bench_util.h"
 #include "core/envelope_matcher.h"
 #include "core/shape_base.h"
-#include "core/similarity.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/noise.h"
@@ -36,63 +28,6 @@ using geosir::geom::Polyline;
 namespace {
 
 constexpr const char* kBench = "bench_parallel_matching";
-
-void BenchEdgeGridKernel() {
-  std::printf("=== Edge-grid similarity kernel (single thread) ===\n");
-  Table table({"edges", "pairs", "brute_ms", "grid_ms", "speedup", "max_dev"});
-  geosir::util::Rng rng(17);
-  for (int num_vertices : {32, 64, 128, 256}) {
-    geosir::workload::PolygonGenOptions gen;
-    gen.min_vertices = num_vertices;
-    gen.max_vertices = num_vertices;
-    const int pairs = 12;
-    std::vector<std::pair<Polyline, Polyline>> shapes;
-    for (int i = 0; i < pairs; ++i) {
-      const Polyline a = RandomStarPolygon(&rng, gen);
-      shapes.emplace_back(a, geosir::workload::JitterVertices(a, 0.01, &rng));
-    }
-
-    geosir::core::SimilarityOptions brute;
-    brute.grid_min_edges = std::numeric_limits<size_t>::max();
-    geosir::core::SimilarityOptions grid;
-    grid.grid_min_edges = 0;
-
-    std::vector<double> brute_values, grid_values;
-    Timer tb;
-    for (const auto& [a, b] : shapes) {
-      brute_values.push_back(geosir::core::AvgMinDistance(a, b, brute));
-    }
-    const double brute_ms = tb.Millis();
-    Timer tg;
-    for (const auto& [a, b] : shapes) {
-      grid_values.push_back(geosir::core::AvgMinDistance(a, b, grid));
-    }
-    const double grid_ms = tg.Millis();
-
-    double max_dev = 0.0;
-    for (int i = 0; i < pairs; ++i) {
-      max_dev = std::max(max_dev, std::fabs(brute_values[i] - grid_values[i]));
-    }
-    const double speedup = brute_ms / std::max(grid_ms, 1e-9);
-    table.AddRow({FmtInt(num_vertices), FmtInt(pairs), Fmt("%.2f", brute_ms),
-                  Fmt("%.2f", grid_ms), Fmt("%.2fx", speedup),
-                  Fmt("%.2e", max_dev)});
-    JsonLine(kBench)
-        .Str("name", "edge_grid_kernel")
-        .Int("edges", num_vertices)
-        .Num("brute_ms", brute_ms)
-        .Num("grid_ms", grid_ms)
-        .Num("speedup", speedup)
-        .Num("max_deviation", max_dev)
-        .Emit();
-    if (max_dev != 0.0) {
-      std::fprintf(stderr,
-                   "FAIL: edge grid deviated from brute force (%g)\n", max_dev);
-    }
-  }
-  table.Print();
-  std::printf("\n");
-}
 
 void BenchBatchedMatching() {
   const size_t num_shapes = static_cast<size_t>(
@@ -200,7 +135,6 @@ void BenchBatchedMatching() {
 }  // namespace
 
 int main() {
-  BenchEdgeGridKernel();
   BenchBatchedMatching();
   return 0;
 }

@@ -470,12 +470,15 @@ class EnvelopeMatcher::EnvelopeSource final : public CandidateSource {
     FlushRoundTrace();
     if (!verified.ok()) return End(verified, out, stats);
     ++st_.rounds_completed;
+    st_.final_epsilon = eps_;
+    // A round a vertex or candidate budget cut left qualifying copies
+    // unverified, so it certifies nothing: the budget stop ends the query
+    // as a partial answer before either natural finish is considered.
+    if (!budget_stop_.ok()) return End(budget_stop_, out, stats);
     // Early exit: every unevaluated copy still has > beta of its vertices
     // outside the eps-envelope, so its (discrete, directed) average
     // distance exceeds beta * eps; once the k-th best is below that, no
-    // unseen shape can displace it. Either natural finish overrides a
-    // budget hit in the round just verified.
-    st_.final_epsilon = eps_;
+    // unseen shape can displace it.
     if (options.collect_threshold <= 0.0 && options.stop_factor > 0.0 &&
         kth_best <= options.stop_factor * options.beta * eps_) {
       st_.stopped_early = true;
@@ -485,7 +488,6 @@ class EnvelopeMatcher::EnvelopeSource final : public CandidateSource {
       st_.exhausted = true;
       return End(util::Status::OK(), out, stats);
     }
-    if (!budget_stop_.ok()) return End(budget_stop_, out, stats);
     eps_prev_ = eps_;
     eps_ = std::min(eps_ * options.growth, eps_max_);
     return Round(options, out, stats);
@@ -496,7 +498,7 @@ class EnvelopeMatcher::EnvelopeSource final : public CandidateSource {
   /// between the previous envelope and this one, counts each copy's
   /// vertices inside, and emits the copies that reached the occupancy
   /// threshold. A vertex or candidate budget hit here ends the envelope in
-  /// NextRound, once the stop rule has been applied.
+  /// NextRound, ahead of the stop rule.
   util::Status Round(const MatchOptions& options, std::vector<uint32_t>* out,
                      CandidateSourceStats* stats) {
     // Round-entry checkpoint (also the per-round budget gate).
@@ -586,7 +588,7 @@ class EnvelopeMatcher::EnvelopeSource final : public CandidateSource {
       }
       if (!hard_stop.ok() || !budget_stop_.ok()) break;
     }
-    geom::CountBatchedEdges(ring_evals * target.flat_edges());
+    geom::CountBatchedEdges(ring_evals * target.num_edges());
 
     // Step 3: emit the copies that reached the (1 - beta) occupancy
     // threshold and have not been emitted yet. When the query is stopping,

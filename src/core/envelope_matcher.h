@@ -54,7 +54,9 @@ class EnvelopeMatcher {
   /// returns them as an OK *partial* result (MatchStats::partial +
   /// termination); a stop before anything was ranked — including a
   /// deadline already expired at entry, which performs zero work —
-  /// returns kDeadlineExceeded / kCancelled / kResourceExhausted.
+  /// returns kDeadlineExceeded / kCancelled / kResourceExhausted. A round
+  /// a vertex or candidate budget cut ends the query as such a partial
+  /// even when the stop rule would have fired after it.
   /// Budget stops are deterministic (bit-identical partial results for
   /// every thread count); deadline and cancel stops are not.
   util::Result<std::vector<MatchResult>> Match(const geom::Polyline& query,

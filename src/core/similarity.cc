@@ -15,69 +15,43 @@ namespace {
 using geom::Polyline;
 using geom::Segment;
 
-/// Integrates the distance-to-target function along one edge of A.
-/// `distance_to_b` is any exact point-to-boundary distance oracle
-/// (the O(E) scan or a prebuilt edge grid).
-template <typename DistanceFn>
-double EdgeDistanceIntegral(const Segment& edge, const DistanceFn& distance_to_b,
-                            const SimilarityOptions& options) {
+/// Integrates the distance to B along one edge of A, adding the kernel
+/// calls it makes to `evals`.
+double EdgeDistanceIntegral(const Segment& edge, const geom::EdgeSoA& b,
+                            const SimilarityOptions& options, size_t* evals) {
   const double len = edge.Length();
   if (len <= 0.0) return 0.0;
   util::QuadratureOptions quad;
   quad.abs_tolerance = options.quadrature_tolerance * len;
   quad.max_depth = options.max_depth;
   const double mean = util::AdaptiveSimpson(
-      [&edge, &distance_to_b](double t) { return distance_to_b(edge.At(t)); },
+      [&edge, &b, evals](double t) {
+        ++*evals;
+        return b.MinDistance(edge.At(t));
+      },
       0.0, 1.0, quad);
   return mean * len;  // Parameter integral times |dx/dt| = len.
 }
 
-template <typename DistanceFn>
-double AvgMinDistanceImpl(const Polyline& a, const DistanceFn& distance_to_b,
-                          const SimilarityOptions& options) {
-  const size_t n = a.NumEdges();
-  double total = 0.0;
-  double perimeter = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const Segment e = a.Edge(i);
-    total += EdgeDistanceIntegral(e, distance_to_b, options);
-    perimeter += e.Length();
-  }
-  if (perimeter > 0.0) return total / perimeter;
-  // Degenerate shape (no edges, or only zero-length edges — e.g. every
-  // vertex duplicated): the boundary is a point set, so the arc-length
-  // average degenerates to the vertex average. Returning 0 here would
-  // rank such a shape as a perfect match to everything.
-  if (a.empty()) return 0.0;
-  double sum = 0.0;
-  for (geom::Point p : a.vertices()) sum += distance_to_b(p);
-  return sum / static_cast<double>(a.size());
-}
-
-template <typename DistanceFn>
-double DiscreteAvgMinDistanceImpl(const Polyline& a,
-                                  const DistanceFn& distance_to_b) {
-  if (a.empty()) return 0.0;
-  double sum = 0.0;
-  for (geom::Point p : a.vertices()) sum += distance_to_b(p);
-  return sum / static_cast<double>(a.size());
-}
-
-/// The discrete average of distance(p) over `points`, adding the terms in
-/// order — or nullopt as soon as the partial sum divided by the same
-/// count exceeds `threshold`. The terms are non-negative, so each partial
-/// quotient is a lower bound on the final one in floating point too.
-template <typename DistanceFn>
+/// The discrete average of the distances from `points` to B, adding the
+/// terms in order — or nullopt as soon as the partial sum divided by the
+/// same count exceeds `threshold`. The terms are non-negative, so each
+/// partial quotient is a lower bound on the final one in floating point
+/// too. Counts the kernel edges it scans.
 std::optional<double> AbandoningAverage(const std::vector<geom::Point>& points,
-                                        const DistanceFn& distance,
+                                        const geom::EdgeSoA& b,
                                         double threshold) {
   if (points.empty()) return 0.0;
   const double n = static_cast<double>(points.size());
   double sum = 0.0;
-  for (geom::Point p : points) {
-    sum += distance(p);
-    if (sum / n > threshold) return std::nullopt;
+  for (size_t i = 0; i < points.size(); ++i) {
+    sum += b.MinDistance(points[i]);
+    if (sum / n > threshold) {
+      geom::CountBatchedEdges((i + 1) * b.num_edges());
+      return std::nullopt;
+    }
   }
+  geom::CountBatchedEdges(points.size() * b.num_edges());
   return sum / n;
 }
 
@@ -103,21 +77,7 @@ std::vector<double> VertexMinDistances(const Polyline& a,
 
 double AvgMinDistance(const Polyline& a, const Polyline& b,
                       const SimilarityOptions& options) {
-  if (b.NumEdges() >= options.grid_min_edges) {
-    const geom::EdgeGrid grid(b);
-    return AvgMinDistanceImpl(
-        a, [&grid](geom::Point p) { return grid.Distance(p); }, options);
-  }
-  // Below the grid threshold the flat scan wins: build the SoA store
-  // once and stream every quadrature sample through the batch kernel.
-  const geom::EdgeSoA soa(b);
-  return AvgMinDistance(a, soa, options);
-}
-
-double AvgMinDistance(const Polyline& a, const geom::EdgeGrid& b,
-                      const SimilarityOptions& options) {
-  return AvgMinDistanceImpl(
-      a, [&b](geom::Point p) { return b.Distance(p); }, options);
+  return AvgMinDistance(a, geom::EdgeSoA(b), options);
 }
 
 double AvgMinDistance(const Polyline& a, const geom::EdgeSoA& b,
@@ -125,15 +85,20 @@ double AvgMinDistance(const Polyline& a, const geom::EdgeSoA& b,
   // Count kernel work locally and flush one increment per evaluation —
   // never per quadrature sample.
   size_t evals = 0;
-  const double result = AvgMinDistanceImpl(
-      a,
-      [&b, &evals](geom::Point p) {
-        ++evals;
-        return b.MinDistance(p);
-      },
-      options);
+  double total = 0.0;
+  double perimeter = 0.0;
+  for (size_t i = 0; i < a.NumEdges(); ++i) {
+    const Segment e = a.Edge(i);
+    total += EdgeDistanceIntegral(e, b, options, &evals);
+    perimeter += e.Length();
+  }
   geom::CountBatchedEdges(evals * b.num_edges());
-  return result;
+  if (perimeter > 0.0) return total / perimeter;
+  // Degenerate shape (no edges, or only zero-length edges — e.g. every
+  // vertex duplicated): the boundary is a point set, so the arc-length
+  // average degenerates to the vertex average. Returning 0 here would
+  // rank such a shape as a perfect match to everything.
+  return DiscreteAvgMinDistance(a, b);
 }
 
 double AvgMinDistanceSymmetric(const Polyline& a, const Polyline& b,
@@ -144,11 +109,6 @@ double AvgMinDistanceSymmetric(const Polyline& a, const Polyline& b,
 
 double DiscreteAvgMinDistance(const Polyline& a, const Polyline& b) {
   return DiscreteAvgMinDistance(a, geom::EdgeSoA(b));
-}
-
-double DiscreteAvgMinDistance(const Polyline& a, const geom::EdgeGrid& b) {
-  return DiscreteAvgMinDistanceImpl(
-      a, [&b](geom::Point p) { return b.Distance(p); });
 }
 
 double DiscreteAvgMinDistance(const Polyline& a, const geom::EdgeSoA& b) {
@@ -193,52 +153,27 @@ double PartialHausdorff(const Polyline& a, const Polyline& b,
 
 QueryTarget::QueryTarget(const Polyline& query,
                          const SimilarityOptions& options)
-    : query_(query), options_(options) {
-  if (query.NumEdges() >= options.grid_min_edges && query.NumEdges() > 0) {
-    grid_ = std::make_unique<geom::EdgeGrid>(query);
-  } else {
-    soa_ = std::make_unique<geom::EdgeSoA>(query);
-  }
-}
+    : query_(query), options_(options), soa_(query) {}
 
 std::optional<double> QueryTarget::BoundedScore(const Polyline& copy,
                                                 MatchMeasure measure,
                                                 double threshold,
                                                 geom::EdgeSoA* scratch) const {
   if (IsContinuous(measure)) return Score(copy, measure);
-  // Kernel work is counted locally and flushed once per direction; the
-  // grid counts its own.
-  size_t evals = 0;
-  const std::optional<double> to_query = AbandoningAverage(
-      copy.vertices(),
-      [this, &evals](geom::Point p) {
-        ++evals;
-        return Distance(p);
-      },
-      threshold);
-  if (soa_ != nullptr) geom::CountBatchedEdges(evals * soa_->num_edges());
+  const std::optional<double> to_query =
+      AbandoningAverage(copy.vertices(), soa_, threshold);
   if (!to_query || measure == MatchMeasure::kDiscreteDirected) return to_query;
   scratch->Assign(copy);
-  evals = 0;
-  const std::optional<double> from_query = AbandoningAverage(
-      query_.vertices(),
-      [scratch, &evals](geom::Point p) {
-        ++evals;
-        return scratch->MinDistance(p);
-      },
-      threshold);
-  geom::CountBatchedEdges(evals * scratch->num_edges());
+  const std::optional<double> from_query =
+      AbandoningAverage(query_.vertices(), *scratch, threshold);
   if (!from_query) return std::nullopt;
   return std::max(*to_query, *from_query);
 }
 
 double QueryTarget::Score(const Polyline& copy, MatchMeasure measure) const {
   const bool continuous = IsContinuous(measure);
-  const double to_query =
-      continuous ? (grid_ != nullptr ? AvgMinDistance(copy, *grid_, options_)
-                                     : AvgMinDistance(copy, *soa_, options_))
-                 : (grid_ != nullptr ? DiscreteAvgMinDistance(copy, *grid_)
-                                     : DiscreteAvgMinDistance(copy, *soa_));
+  const double to_query = continuous ? AvgMinDistance(copy, soa_, options_)
+                                     : DiscreteAvgMinDistance(copy, soa_);
   if (measure == MatchMeasure::kContinuousDirected ||
       measure == MatchMeasure::kDiscreteDirected) {
     return to_query;
@@ -273,7 +208,7 @@ void BoundField::Build(const QueryTarget& target, double alpha) {
     const size_t entry = (i / kColumns + 1) * kStride + i % kColumns + 1;
     table_[entry] = std::max(0.0, target.Distance(Node(i)) - shrink);
   }
-  geom::CountBatchedEdges(num_nodes() * target.flat_edges());
+  geom::CountBatchedEdges(num_nodes() * target.num_edges());
 }
 
 geom::Point BoundField::Node(size_t i) const {

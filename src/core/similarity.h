@@ -2,11 +2,9 @@
 #define GEOSIR_CORE_SIMILARITY_H_
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "geom/edge_grid.h"
 #include "geom/edge_soa.h"
 #include "geom/polyline.h"
 
@@ -22,14 +20,6 @@ struct SimilarityOptions {
   double quadrature_tolerance = 1e-4;
   /// Maximum adaptive bisection depth per edge.
   int max_depth = 8;
-  /// When the *target* polyline (the one distances are measured to) has
-  /// at least this many edges, the point-to-boundary distance inside the
-  /// quadrature is answered by a precomputed geom::EdgeGrid instead of
-  /// the O(E) edge scan. The grid is exact — results are bit-identical
-  /// with or without it — so this is purely a build-cost/lookup-cost
-  /// tradeoff. Set to SIZE_MAX to disable the accelerator (benchmarks
-  /// use this to measure the brute-force baseline).
-  size_t grid_min_edges = 16;
 };
 
 /// The paper's similarity criterion (Section 2.2):
@@ -42,15 +32,10 @@ struct SimilarityOptions {
 double AvgMinDistance(const geom::Polyline& a, const geom::Polyline& b,
                       const SimilarityOptions& options = {});
 
-/// AvgMinDistance against a prebuilt edge grid of B. The matcher builds
-/// the grid once per query shape and reuses it across every candidate
-/// evaluation; the result is identical to the polyline overload.
-double AvgMinDistance(const geom::Polyline& a, const geom::EdgeGrid& b,
-                      const SimilarityOptions& options = {});
-
-/// AvgMinDistance against a prebuilt SoA edge store of B: the flat-scan
-/// analogue of the grid overload, served by the batch SIMD kernel. This
-/// is what the polyline overload uses below grid_min_edges.
+/// AvgMinDistance against a prebuilt SoA edge store of B, served by the
+/// batch SIMD kernel. The matcher builds the store once per query shape
+/// and reuses it across every candidate evaluation; the polyline overload
+/// builds one per call. Both return the same value.
 double AvgMinDistance(const geom::Polyline& a, const geom::EdgeSoA& b,
                       const SimilarityOptions& options = {});
 
@@ -66,10 +51,6 @@ double AvgMinDistanceSymmetric(const geom::Polyline& a,
 /// more than eps to this sum).
 double DiscreteAvgMinDistance(const geom::Polyline& a,
                               const geom::Polyline& b);
-
-/// Discrete variant against a prebuilt edge grid of B.
-double DiscreteAvgMinDistance(const geom::Polyline& a,
-                              const geom::EdgeGrid& b);
 
 /// Discrete variant against a prebuilt SoA edge store of B. A's whole
 /// vertex run goes through one batched kernel call.
@@ -109,25 +90,21 @@ enum class MatchMeasure {
 };
 
 /// A normalized query prepared once as the distance target of every
-/// database copy scored against it: an EdgeGrid over its boundary at
-/// >= grid_min_edges edges, a flat EdgeSoA below. Both answer every
-/// point-to-boundary distance with the canonical batch kernel arithmetic,
-/// so scores are bit-identical to the polyline overloads above and
-/// independent of which accelerator was built. Immutable once built, so
-/// concurrent scoring against one target is safe.
+/// database copy scored against it: an EdgeSoA over its boundary, which
+/// answers every point-to-boundary distance with the canonical batch
+/// kernel arithmetic, so scores are bit-identical to the polyline
+/// overloads above. Immutable once built, so concurrent scoring against
+/// one target is safe.
 class QueryTarget {
  public:
   QueryTarget(const geom::Polyline& query, const SimilarityOptions& options);
 
   /// Exact distance from `p` to the query boundary.
-  double Distance(geom::Point p) const {
-    return grid_ != nullptr ? grid_->Distance(p) : soa_->MinDistance(p);
-  }
+  double Distance(geom::Point p) const { return soa_.MinDistance(p); }
 
-  /// The kernel edges one Distance call scans on the flat path, which
-  /// callers count themselves (evaluations × this, flushed once); 0 when
-  /// the grid answers, since it counts its own.
-  size_t flat_edges() const { return soa_ != nullptr ? soa_->num_edges() : 0; }
+  /// The kernel edges one Distance call scans, which callers count
+  /// themselves (evaluations × this, flushed once).
+  size_t num_edges() const { return soa_.num_edges(); }
 
   /// `measure` of `copy` against the query: the to-query direction
   /// (h_avg(copy, q) or its discrete variant), and for the symmetric
@@ -150,8 +127,7 @@ class QueryTarget {
  private:
   geom::Polyline query_;
   SimilarityOptions options_;
-  std::unique_ptr<geom::EdgeGrid> grid_;
-  std::unique_ptr<geom::EdgeSoA> soa_;
+  geom::EdgeSoA soa_;
 };
 
 /// A per-query table of lower bounds on QueryTarget::Distance (DESIGN.md

@@ -803,12 +803,16 @@ Follower::MatchBatch(const std::vector<geom::Polyline>& queries, size_t k,
 util::Result<std::vector<std::pair<uint64_t, double>>> Follower::Match(
     const geom::Polyline& query, size_t k, core::MatchStats* stats,
     util::Deadline deadline) {
+  // The stats are always collected: a lifecycle stop that left nothing
+  // ranked is this read's answer.
   std::vector<core::MatchStats> batch_stats;
-  GEOSIR_ASSIGN_OR_RETURN(
-      auto results,
-      MatchBatch({query}, k, stats != nullptr ? &batch_stats : nullptr,
-                 deadline));
-  if (stats != nullptr && !batch_stats.empty()) *stats = batch_stats.front();
+  GEOSIR_ASSIGN_OR_RETURN(auto results,
+                          MatchBatch({query}, k, &batch_stats, deadline));
+  const core::MatchStats& one = batch_stats.front();
+  if (stats != nullptr) *stats = one;
+  if (results.front().empty() && !one.termination.ok()) {
+    return one.termination;
+  }
   return std::move(results.front());
 }
 

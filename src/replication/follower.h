@@ -151,6 +151,8 @@ class Follower {
 
   /// Single-query convenience; routed through MatchBatch because the
   /// underlying single-query path shares matcher scratch across calls.
+  /// A lifecycle stop (deadline, cancel, budget) that left nothing ranked
+  /// is returned as the error, as EnvelopeMatcher::Match returns it.
   util::Result<std::vector<std::pair<uint64_t, double>>> Match(
       const geom::Polyline& query, size_t k = 1,
       core::MatchStats* stats = nullptr, util::Deadline deadline = {});

@@ -129,6 +129,8 @@ class ReplicatedShapeBase {
   MatchBatch(const std::vector<geom::Polyline>& queries, size_t k = 1,
              std::vector<core::MatchStats>* stats = nullptr,
              util::Deadline deadline = {});
+  /// Single-query MatchBatch. A lifecycle stop that left nothing ranked
+  /// is returned as the error, as Follower::Match returns it.
   util::Result<std::vector<std::pair<uint64_t, double>>> Match(
       const geom::Polyline& query, size_t k = 1,
       core::MatchStats* stats = nullptr, util::Deadline deadline = {});

@@ -465,43 +465,46 @@ TEST(AbandoningVerifierDeadlineTest, MidScanStopRanksTheScannedPrefix) {
 
 // geosir_geom_kernel_batched_edges_total counts every kernel edge one
 // verifier call evaluates: to-query distances against the query's edge
-// store (below grid_min_edges) as well as from-query ones against the
-// copy's scratch store, including a call abandoned after one vertex.
+// store as well as from-query ones against the copy's scratch store,
+// including a call abandoned after one vertex, for queries of every size.
 TEST(AbandoningVerifierKernelCounterTest, CountsBothDirections) {
   const Fixture& f = SharedFixture();
-  std::vector<geom::Point> octagon;
-  for (int i = 0; i < 8; ++i) {
-    octagon.push_back({std::cos(i * M_PI / 4), 1.5 * std::sin(i * M_PI / 4)});
-  }
-  auto qnorm = NormalizeQuery(Polyline::Closed(octagon));
-  ASSERT_TRUE(qnorm.ok());
-  const Polyline& q = qnorm->shape;
-  const SimilarityOptions similarity;
-  ASSERT_LT(q.NumEdges(), similarity.grid_min_edges);
-  const QueryTarget target(q, similarity);
   const Polyline& copy = f.base.copy(0).shape;
   obs::Counter* edges = obs::MetricRegistry::Default().GetCounter(
       "geosir_geom_kernel_batched_edges_total",
       "Edge evaluations routed through the batch kernels");
   ASSERT_TRUE(obs::Armed());
   geom::EdgeSoA scratch;
+  for (int n : {8, 40}) {
+    SCOPED_TRACE(std::to_string(n) + " query edges");
+    std::vector<geom::Point> ellipse;
+    for (int i = 0; i < n; ++i) {
+      const double a = 2 * M_PI * i / n;
+      ellipse.push_back({std::cos(a), 1.5 * std::sin(a)});
+    }
+    auto qnorm = NormalizeQuery(Polyline::Closed(ellipse));
+    ASSERT_TRUE(qnorm.ok());
+    const Polyline& q = qnorm->shape;
+    ASSERT_EQ(q.NumEdges(), static_cast<size_t>(n));
+    const QueryTarget target(q, SimilarityOptions{});
 
-  uint64_t before = edges->value();
-  ASSERT_TRUE(target
-                  .BoundedScore(copy, MatchMeasure::kDiscreteSymmetric,
-                                std::numeric_limits<double>::infinity(),
-                                &scratch)
-                  .has_value());
-  EXPECT_EQ(edges->value() - before,
-            copy.size() * q.NumEdges() + q.size() * copy.NumEdges());
+    uint64_t before = edges->value();
+    ASSERT_TRUE(target
+                    .BoundedScore(copy, MatchMeasure::kDiscreteSymmetric,
+                                  std::numeric_limits<double>::infinity(),
+                                  &scratch)
+                    .has_value());
+    EXPECT_EQ(edges->value() - before,
+              copy.size() * q.NumEdges() + q.size() * copy.NumEdges());
 
-  // A negative threshold abandons after the first to-query vertex.
-  before = edges->value();
-  EXPECT_FALSE(target
-                   .BoundedScore(copy, MatchMeasure::kDiscreteSymmetric, -1.0,
-                                 &scratch)
-                   .has_value());
-  EXPECT_EQ(edges->value() - before, q.NumEdges());
+    // A negative threshold abandons after the first to-query vertex.
+    before = edges->value();
+    EXPECT_FALSE(target
+                     .BoundedScore(copy, MatchMeasure::kDiscreteSymmetric,
+                                   -1.0, &scratch)
+                     .has_value());
+    EXPECT_EQ(edges->value() - before, q.NumEdges());
+  }
 }
 
 }  // namespace

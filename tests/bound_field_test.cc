@@ -57,8 +57,8 @@ struct Seeded {
 };
 
 /// `shapes` jittered instances of `shapes / 4` random prototypes, and
-/// queries near the first prototypes: one of at least 16 edges (the
-/// query target's edge grid answers) and the rest below (the flat kernel).
+/// queries near the first prototypes: one of at least 16 edges and two
+/// below, so the field is checked on both small and large query stores.
 Seeded MakeBase(uint64_t seed, size_t shapes, double alpha) {
   Seeded out;
   ShapeBaseOptions options;
@@ -79,19 +79,16 @@ Seeded MakeBase(uint64_t seed, size_t shapes, double alpha) {
                     .ok());
   }
   EXPECT_TRUE(out.base->Finalize().ok());
-  // The first prototype the edge grid serves, then the first two it does
-  // not.
-  const auto grid = [](const Polyline& p) {
-    return p.NumEdges() >= SimilarityOptions{}.grid_min_edges;
-  };
-  const auto first_grid =
-      std::find_if(prototypes.begin(), prototypes.end(), grid);
-  EXPECT_NE(first_grid, prototypes.end());
-  if (first_grid != prototypes.end()) {
-    out.queries.push_back(workload::JitterVertices(*first_grid, 0.012, &rng));
+  // The first prototype of at least 16 edges, then the first two below.
+  const auto large = [](const Polyline& p) { return p.NumEdges() >= 16; };
+  const auto first_large =
+      std::find_if(prototypes.begin(), prototypes.end(), large);
+  EXPECT_NE(first_large, prototypes.end());
+  if (first_large != prototypes.end()) {
+    out.queries.push_back(workload::JitterVertices(*first_large, 0.012, &rng));
   }
   for (const Polyline& p : prototypes) {
-    if (grid(p) || out.queries.size() == 3) continue;
+    if (large(p) || out.queries.size() == 3) continue;
     out.queries.push_back(workload::JitterVertices(p, 0.012, &rng));
   }
   return out;

@@ -1,5 +1,12 @@
-#include "geom/edge_grid.h"
+// The flat edge store's point-to-boundary distance, the one the verifier,
+// the envelope's ring test and the lower-bound field all answer with,
+// against the hypot-based brute-force DistancePointPolyline on shapes of
+// every regime: many-edge, open, degenerate extents, clustered vertices,
+// zero-length edges, far-away probes and edgeless shapes.
 
+#include "geom/edge_soa.h"
+
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -15,7 +22,7 @@ namespace geosir::geom {
 namespace {
 
 /// Query points exercising every regime: inside the bbox, on the
-/// boundary, near vertices, and far outside the grid.
+/// boundary, near vertices, and far outside the shape.
 std::vector<Point> ProbePoints(const Polyline& shape, util::Rng* rng,
                                int count) {
   std::vector<Point> probes;
@@ -30,7 +37,7 @@ std::vector<Point> ProbePoints(const Polyline& shape, util::Rng* rng,
     probes.push_back(shape.Edge(e).At(0.37));
     probes.push_back(shape.Edge(e).a);
   }
-  // Far outside the grid in all four quadrants.
+  // Far outside the shape in all four quadrants.
   const double reach = 10.0 * (box.Width() + box.Height() + 1.0);
   probes.push_back({box.min_x - reach, box.min_y - reach});
   probes.push_back({box.max_x + reach, box.min_y - 0.5 * reach});
@@ -41,17 +48,22 @@ std::vector<Point> ProbePoints(const Polyline& shape, util::Rng* rng,
 
 void ExpectMatchesBruteForce(const Polyline& shape, util::Rng* rng,
                              int probe_count = 60) {
-  const EdgeGrid grid(shape);
-  ASSERT_EQ(grid.num_edges(), shape.NumEdges());
-  for (Point p : ProbePoints(shape, rng, probe_count)) {
+  const EdgeSoA soa(shape);
+  ASSERT_EQ(soa.num_edges(), shape.NumEdges());
+  const std::vector<Point> probes = ProbePoints(shape, rng, probe_count);
+  std::vector<double> batched(probes.size());
+  soa.MinDistances(probes.data(), probes.size(), batched.data());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const Point p = probes[i];
     const double expected = DistancePointPolyline(p, shape);
-    const double actual = grid.Distance(p);
+    const double actual = soa.MinDistance(p);
     ASSERT_NEAR(actual, expected, 1e-12)
         << "at (" << p.x << ", " << p.y << ")";
+    ASSERT_EQ(batched[i], actual) << "at (" << p.x << ", " << p.y << ")";
   }
 }
 
-TEST(EdgeGridTest, RandomStarPolygons) {
+TEST(EdgeSoATest, RandomStarPolygons) {
   util::Rng rng(1234);
   workload::PolygonGenOptions gen;
   for (int trial = 0; trial < 30; ++trial) {
@@ -59,7 +71,7 @@ TEST(EdgeGridTest, RandomStarPolygons) {
   }
 }
 
-TEST(EdgeGridTest, LargeManyEdgePolygons) {
+TEST(EdgeSoATest, LargeManyEdgePolygons) {
   util::Rng rng(99);
   workload::PolygonGenOptions gen;
   gen.min_vertices = 64;
@@ -69,7 +81,7 @@ TEST(EdgeGridTest, LargeManyEdgePolygons) {
   }
 }
 
-TEST(EdgeGridTest, RandomOpenPolylines) {
+TEST(EdgeSoATest, RandomOpenPolylines) {
   util::Rng rng(4321);
   workload::PolygonGenOptions gen;
   for (int trial = 0; trial < 20; ++trial) {
@@ -77,9 +89,9 @@ TEST(EdgeGridTest, RandomOpenPolylines) {
   }
 }
 
-TEST(EdgeGridTest, CollinearDegenerateBoundingBox) {
+TEST(EdgeSoATest, CollinearDegenerateBoundingBox) {
   util::Rng rng(7);
-  // Horizontal: the grid's y extent is zero.
+  // Horizontal: the y extent is zero.
   std::vector<Point> horizontal;
   for (int i = 0; i <= 20; ++i) horizontal.push_back({0.1 * i, 2.0});
   ExpectMatchesBruteForce(Polyline::Open(horizontal), &rng);
@@ -93,16 +105,15 @@ TEST(EdgeGridTest, CollinearDegenerateBoundingBox) {
   ExpectMatchesBruteForce(Polyline::Open(diagonal), &rng);
 }
 
-TEST(EdgeGridTest, SingleEdge) {
+TEST(EdgeSoATest, SingleEdge) {
   util::Rng rng(11);
   ExpectMatchesBruteForce(Polyline::Open({{0.0, 0.0}, {3.0, 1.0}}), &rng);
 }
 
-TEST(EdgeGridTest, ClusteredVertices) {
+TEST(EdgeSoATest, ClusteredVertices) {
   util::Rng rng(5);
   // Many vertices crammed into a tiny cluster plus one distant vertex:
-  // the average edge length is dominated by the single long edge, so the
-  // cluster's edges pile into few cells.
+  // edges whose lengths span six orders of magnitude.
   std::vector<Point> v;
   for (int i = 0; i < 40; ++i) {
     v.push_back({1e-4 * rng.Uniform(0.0, 1.0), 1e-4 * rng.Uniform(0.0, 1.0)});
@@ -111,21 +122,28 @@ TEST(EdgeGridTest, ClusteredVertices) {
   ExpectMatchesBruteForce(Polyline::Open(v), &rng);
 }
 
-TEST(EdgeGridTest, ZeroLengthEdges) {
+TEST(EdgeSoATest, ZeroLengthEdges) {
   util::Rng rng(3);
-  // Duplicate consecutive vertices produce zero-length edges; the grid
-  // must bucket and measure them like the brute-force scan does.
+  // Duplicate consecutive vertices produce zero-length edges; the store
+  // must measure them like the brute-force scan does.
   ExpectMatchesBruteForce(
       Polyline::Closed({{0, 0}, {1, 0}, {1, 0}, {1, 1}, {0, 1}, {0, 1}}),
       &rng);
 }
 
-TEST(EdgeGridTest, EdgelessShapes) {
-  const EdgeGrid empty((Polyline()));
-  EXPECT_TRUE(std::isinf(empty.Distance({0.0, 0.0})));
+TEST(EdgeSoATest, EdgelessShapes) {
+  const EdgeSoA empty((Polyline()));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(std::isinf(empty.MinDistance({0.0, 0.0})));
 
-  const EdgeGrid lone_vertex(Polyline::Open({{2.0, -1.0}}));
-  EXPECT_DOUBLE_EQ(lone_vertex.Distance({2.0, 3.0}), 4.0);
+  const EdgeSoA lone_vertex(Polyline::Open({{2.0, -1.0}}));
+  EXPECT_TRUE(lone_vertex.empty());
+  EXPECT_DOUBLE_EQ(lone_vertex.MinDistance({2.0, 3.0}), 4.0);
+  const Point probes[] = {{2.0, 3.0}, {2.0, -1.0}};
+  double batched[2];
+  lone_vertex.MinDistances(probes, 2, batched);
+  EXPECT_DOUBLE_EQ(batched[0], 4.0);
+  EXPECT_EQ(batched[1], 0.0);
 }
 
 }  // namespace

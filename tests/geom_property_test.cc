@@ -9,7 +9,6 @@
 #include "geom/convex_hull.h"
 #include "geom/diameter.h"
 #include "geom/distance.h"
-#include "geom/edge_grid.h"
 #include "geom/edge_soa.h"
 #include "geom/envelope.h"
 #include "geom/kernel_dispatch.h"
@@ -226,24 +225,6 @@ TEST_P(GeomPropertyTest, BatchKernelMatchesScalarOnAdversarialInputs) {
       const double d2 = ExpectKernelsAgree(span, p);
       EXPECT_FALSE(std::isnan(d2)) << "kernel leaked NaN for finite input";
     }
-  }
-}
-
-TEST_P(GeomPropertyTest, EdgeGridMatchesBatchKernelBitForBit) {
-  // The grid's bucket scans and the flat SoA scan run the same canonical
-  // arithmetic, and its ring stopping rule is sound, so the two must
-  // agree exactly — not just within tolerance.
-  util::Rng rng = MakeRng();
-  workload::PolygonGenOptions gen;
-  gen.min_vertices = 24;
-  gen.max_vertices = 120;
-  const Polyline shape = workload::RandomStarPolygon(&rng, gen);
-  const EdgeGrid grid(shape);
-  const EdgeSoA soa(shape);
-  for (int i = 0; i < 300; ++i) {
-    const Point p{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
-    EXPECT_EQ(grid.Distance(p), soa.MinDistance(p))
-        << "grid diverged from flat scan at p=(" << p.x << "," << p.y << ")";
   }
 }
 

@@ -396,15 +396,13 @@ TEST(MatcherTraceTest, ArmedSlowLogCapturesQueriesWithoutCallerTrace) {
 }
 
 // The ring filter's exact membership test scans the query's edges once
-// per tested vertex. Below grid_min_edges that scan is the flat kernel's,
-// which Match counts itself (flushed once per round): with verification
-// cut to one candidate, the counter must still rise by at least the
-// accepted vertices times the query's edges.
+// per tested vertex, which Match counts itself (flushed once per round):
+// with verification cut to one candidate, the counter must still rise by
+// at least the accepted vertices times the query's edges.
 TEST(MatcherTraceTest, RingFilterCountsItsKernelEdges) {
   core::ShapeBase base;
   PopulateBase(&base);
   const Polyline& query = base.shape(3).boundary;
-  ASSERT_LT(query.NumEdges(), core::SimilarityOptions{}.grid_min_edges);
   Counter* edges = MetricRegistry::Default().GetCounter(
       "geosir_geom_kernel_batched_edges_total",
       "Edge evaluations routed through the batch kernels");

@@ -543,6 +543,47 @@ TEST_F(QueryLifecycleTest, PooledBatchWithPreCancelledTokenRunsNothing) {
   }
 }
 
+TEST(EnvelopeBudgetTest, BudgetCutRoundIsNeverCertified) {
+  // A round the candidate budget cut left qualifying copies unverified,
+  // so the stop rule cannot certify it: whenever the budget skipped a
+  // copy, the answer is a kResourceExhausted partial, not an early exit.
+  // Ten prototypes of a hundred instances each put far more than the
+  // budget's copies inside the first envelopes.
+  util::Rng rng(31);
+  workload::PolygonGenOptions gen;
+  std::vector<Polyline> prototypes;
+  for (int p = 0; p < 10; ++p) {
+    prototypes.push_back(workload::RandomStarPolygon(&rng, gen));
+  }
+  ShapeBase base;
+  for (int s = 0; s < 1000; ++s) {
+    ASSERT_TRUE(
+        base.AddShape(workload::JitterVertices(prototypes[s % 10], 0.01, &rng))
+            .ok());
+  }
+  ASSERT_TRUE(base.Finalize().ok());
+  EnvelopeMatcher matcher(&base);
+  MatchOptions options;
+  options.k = 1;
+  options.measure = MatchMeasure::kContinuousSymmetric;
+  options.budget.max_candidates = 60;
+  size_t cut = 0;
+  for (int q = 0; q < 4; ++q) {
+    const Polyline query =
+        workload::JitterVertices(prototypes[3 * q], 0.01, &rng);
+    MatchStats stats;
+    auto result = matcher.Match(query, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (stats.candidates_skipped == 0) continue;
+    ++cut;
+    EXPECT_TRUE(stats.partial) << "query " << q;
+    EXPECT_FALSE(stats.stopped_early) << "query " << q;
+    EXPECT_EQ(stats.termination.code(), util::StatusCode::kResourceExhausted)
+        << "query " << q;
+  }
+  EXPECT_GT(cut, 0u) << "no query reached the candidate budget";
+}
+
 // ---------------------------------------------------------------------------
 // Wall-clock behavior (coarse bounds only; the index sleeps per triangle
 // query to stretch the match far beyond the deadline/cancel horizon).

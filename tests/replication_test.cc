@@ -788,6 +788,39 @@ TEST(ReplicatedTier, PrimaryShedsAnExpiredDeadline) {
   EXPECT_FALSE(stats.partial);
 }
 
+TEST(ReplicatedTier, SingleReadReturnsTheStopThatLeftItEmpty) {
+  // A deadline armed in the base's match options passes admission and the
+  // primary's up-front check (both see only the call's deadline), then
+  // stops the matcher before it ranks anything. A single-query read
+  // returns that stop, not an OK empty answer, through a follower and
+  // through the zero-follower primary, whether or not it asks for stats.
+  for (size_t followers : {size_t{1}, size_t{0}}) {
+    SCOPED_TRACE(std::to_string(followers) + " followers");
+    MemEnv env;
+    ReplicatedOptions options = TierOptions();
+    options.env = &env;
+    options.base.match.deadline = util::Deadline::AfterMicros(0);
+    auto tier =
+        ReplicatedShapeBase::Open(kPrimaryDir, Replicas(followers), options);
+    ASSERT_TRUE(tier.ok());
+    for (uint64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE((*tier)->Insert(ShapeFor(i), ImageFor(i), LabelFor(i)).ok());
+    }
+    ASSERT_TRUE(
+        (*tier)->WaitForCatchUp(util::Deadline::AfterMillis(5000)).ok());
+    core::MatchStats stats;
+    auto routed = (*tier)->Match(ShapeFor(2), 1, &stats);
+    EXPECT_EQ(routed.status().code(), util::StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(stats.termination.code(), util::StatusCode::kDeadlineExceeded);
+    EXPECT_EQ((*tier)->Match(ShapeFor(2), 1).status().code(),
+              util::StatusCode::kDeadlineExceeded);
+    if (followers > 0) {
+      EXPECT_EQ((*tier)->follower(0).Match(ShapeFor(2), 1).status().code(),
+                util::StatusCode::kDeadlineExceeded);
+    }
+  }
+}
+
 // --- Snapshot consistency under concurrent writes (TSan target) ---
 //
 // The contract: a query admitted at replica LSN L never observes a shape
